@@ -1,21 +1,21 @@
 // §5.3 — "it generally takes less than one hour to digest one day's
-// syslog".  Google-benchmark timings for the online digest of one day and
-// for the offline learning pass, in messages/second, plus a sharded
-// pipeline thread sweep written to BENCH_throughput.json.
+// syslog".  Online digest throughput of one day, in messages/second: a
+// pipeline shard sweep (shards=1 runs inline, no threads) plus
+// Engine-vs-direct-pipeline rep pairs, written to BENCH_throughput.json.
+// Template learning and rule mining are timed per phase by bench_learn.
 //
-//   bench_throughput                 # full benchmark suite + sweep 1/2/4/8
-//   bench_throughput --threads 4     # one sharded measurement, no suite
-//   bench_throughput --json=FILE     # sweep output path (default
+//   bench_throughput                 # sweep 1/2/4/8
+//   bench_throughput --threads 4     # one sharded measurement
+//   bench_throughput --json=FILE     # output path (default
 //                                    # BENCH_throughput.json)
-//   bench_throughput --sweep-only --sweep 1,2 --reps 5 --learn-days 2
-//                                    # CI smoke: skip the google-benchmark
-//                                    # suite, emit per-rep rates for the
+//   bench_throughput --sweep 1,2 --reps 5 --learn-days 2
+//                                    # CI smoke: per-rep rates for the
 //                                    # bench_gate noise model
 //   bench_throughput --learn-threads 4   # parallel fixture learning
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -23,11 +23,9 @@
 #include <vector>
 
 #include "common.h"
-#include "core/stream.h"
 #include "engine/engine.h"
 #include "obs/registry.h"
 #include "pipeline/pipeline.h"
-#include "syslog/wire.h"
 
 using namespace sld;
 
@@ -36,6 +34,9 @@ namespace {
 // Fixture knobs, set in main() before the first Shared() call.
 int g_learn_days = 14;
 int g_learn_threads = 1;
+
+// Keeps each run's result observable so the work cannot be elided.
+volatile std::size_t g_events_sink = 0;
 
 struct Fixture {
   Fixture() {
@@ -64,7 +65,7 @@ double RunSharded(Fixture& f, std::size_t threads,
   for (const auto& rec : f.p.live.messages) p.Push(rec);
   const core::DigestResult result = p.Finish();
   const auto stop = std::chrono::steady_clock::now();
-  benchmark::DoNotOptimize(result.events.size());
+  g_events_sink = result.events.size();
   return std::chrono::duration<double>(stop - start).count();
 }
 
@@ -99,7 +100,7 @@ double RunEngine(Fixture& f, std::size_t threads) {
   const auto start = std::chrono::steady_clock::now();
   const core::DigestResult result = eng.Digest(f.p.live.messages);
   const auto stop = std::chrono::steady_clock::now();
-  benchmark::DoNotOptimize(result.events.size());
+  g_events_sink = result.events.size();
   return std::chrono::duration<double>(stop - start).count();
 }
 
@@ -123,91 +124,6 @@ EngineCompare MeasureEngineCompare(Fixture& f, std::size_t threads,
   }
   return cmp;
 }
-
-void BM_DigestOneDay(benchmark::State& state) {
-  Fixture& f = Shared();
-  core::Digester digester(&f.p.kb, &f.p.dict);
-  for (auto _ : state) {
-    const core::DigestResult result = digester.Digest(f.p.live.messages);
-    benchmark::DoNotOptimize(result.events.size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.p.live.messages.size()));
-}
-BENCHMARK(BM_DigestOneDay)->Unit(benchmark::kMillisecond);
-
-void BM_OfflineTemplateLearning(benchmark::State& state) {
-  Fixture& f = Shared();
-  for (auto _ : state) {
-    core::TemplateLearner learner;
-    for (const auto& rec : f.p.history.messages) {
-      learner.Add(rec.code, rec.detail);
-    }
-    benchmark::DoNotOptimize(learner.Learn().size());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(f.p.history.messages.size()));
-}
-BENCHMARK(BM_OfflineTemplateLearning)->Unit(benchmark::kMillisecond);
-
-void BM_RuleMiningOneWeek(benchmark::State& state) {
-  Fixture& f = Shared();
-  const auto augmented = bench::Augment(f.p.kb, f.p.dict, f.p.history);
-  for (auto _ : state) {
-    const core::MiningStats stats =
-        core::MineCooccurrence(augmented, 120 * kMsPerSecond);
-    benchmark::DoNotOptimize(stats.transaction_count);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(augmented.size()));
-}
-BENCHMARK(BM_RuleMiningOneWeek)->Unit(benchmark::kMillisecond);
-
-void BM_StreamingDigest(benchmark::State& state) {
-  Fixture& f = Shared();
-  for (auto _ : state) {
-    core::StreamingDigester digester(&f.p.kb, &f.p.dict);
-    std::size_t events = 0;
-    for (const auto& rec : f.p.live.messages) {
-      events += digester.Push(rec).size();
-    }
-    events += digester.Flush().size();
-    benchmark::DoNotOptimize(events);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.p.live.messages.size()));
-}
-BENCHMARK(BM_StreamingDigest)->Unit(benchmark::kMillisecond);
-
-void BM_ShardedPipeline(benchmark::State& state) {
-  Fixture& f = Shared();
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunSharded(f, threads));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.p.live.messages.size()));
-}
-BENCHMARK(BM_ShardedPipeline)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_WireRoundTrip(benchmark::State& state) {
-  Fixture& f = Shared();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& rec = f.p.live.messages[i++ % f.p.live.messages.size()];
-    const auto decoded =
-        syslog::DecodeRfc3164(syslog::EncodeRfc3164(rec), 2009);
-    benchmark::DoNotOptimize(decoded.has_value());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_WireRoundTrip);
 
 struct SweepPoint {
   std::size_t threads = 1;
@@ -263,10 +179,8 @@ void WriteSweepJson(const std::string& path, std::size_t messages,
 int main(int argc, char** argv) {
   long threads = 0;
   int reps = 3;
-  bool sweep_only = false;
   std::vector<std::size_t> sweep_threads = {1, 2, 4, 8};
   std::string json = "BENCH_throughput.json";
-  std::vector<char*> bench_args{argv[0]};
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       threads = std::atol(argv[++i]);
@@ -283,12 +197,12 @@ int main(int argc, char** argv) {
         const long v = std::atol(tok);
         if (v > 0) sweep_threads.push_back(static_cast<std::size_t>(v));
       }
-    } else if (std::strcmp(argv[i], "--sweep-only") == 0) {
-      sweep_only = true;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json = argv[i] + 7;
     } else {
-      bench_args.push_back(argv[i]);
+      std::fprintf(stderr, "bench_throughput: unknown argument %s\n",
+                   argv[i]);
+      return 2;
     }
   }
   if (g_learn_days < 1) g_learn_days = 1;
@@ -297,8 +211,8 @@ int main(int argc, char** argv) {
 
   Fixture& f = Shared();
   if (threads > 0) {
-    // Single measurement mode: no google-benchmark suite, just the
-    // sharded pipeline at the requested thread count.
+    // Single measurement mode: the pipeline at the requested shard
+    // count, no sweep and no engine comparison.
     const std::vector<double> rates =
         MeasureShardedReps(f, static_cast<std::size_t>(threads), reps);
     std::printf("sharded_pipeline threads=%ld msgs_per_sec=%.0f\n", threads,
@@ -309,17 +223,6 @@ int main(int argc, char** argv) {
                    {{static_cast<std::size_t>(threads), rates}}, nullptr,
                    metrics.Collect());
     return 0;
-  }
-
-  if (!sweep_only) {
-    int bench_argc = static_cast<int>(bench_args.size());
-    benchmark::Initialize(&bench_argc, bench_args.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                               bench_args.data())) {
-      return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
   }
 
   std::vector<SweepPoint> sweep;

@@ -1,17 +1,18 @@
 // Online operation end-to-end: routers emit RFC 3164 datagrams with
-// network jitter and reordering, a collector reassembles a time-ordered
-// stream, and a StreamingDigester emits each event as soon as it closes —
-// the deployment shape of the paper's Fig. 1 online component.
+// network jitter and reordering, and an engine::Engine — a collector
+// that reassembles a time-ordered stream in front of the digest stage —
+// emits each event as soon as it closes: the deployment shape of the
+// paper's Fig. 1 online component.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/learn.h"
-#include "core/stream.h"
+#include "engine/engine.h"
 #include "net/config_parser.h"
 #include "sim/generator.h"
-#include "syslog/collector.h"
+#include "syslog/wire.h"
 
 using namespace sld;
 
@@ -47,39 +48,32 @@ int main() {
   std::sort(arrivals.begin(), arrivals.end(),
             [](const Arrival& a, const Arrival& b) { return a.at < b.at; });
 
-  // Collector in front (reordering), streaming digester behind (events
-  // emitted the moment they close; 30-minute idle horizon keeps latency
+  // Collector in front (5 s reorder hold), digest stage behind (events
+  // emitted the moment they close; a 30-minute idle horizon keeps latency
   // low at the cost of occasionally splitting a >30-min-quiet event).
-  syslog::Collector collector(/*hold_ms=*/5000, /*year=*/2009);
-  core::StreamingDigester digester(&kb, &dict, core::DigestOptions{},
-                                   /*idle_close_ms=*/30 * kMsPerMinute);
+  engine::EngineOptions options;
+  options.hold_ms = 5000;
+  options.year = 2009;
+  options.idle_close_ms = 30 * kMsPerMinute;
+  engine::Engine engine(&kb, &dict, options);
   std::size_t shown = 0;
-  std::size_t total_events = 0;
-  std::size_t total_records = 0;
-  for (const Arrival& a : arrivals) {
-    collector.IngestDatagram(a.datagram);
-    for (auto& rec : collector.Drain()) {
-      ++total_records;
-      for (const auto& ev : digester.Push(rec)) {
-        ++total_events;
-        if (ev.messages.size() >= 8 && shown < 10) {
-          std::printf("closed: %s\n", ev.Format().c_str());
-          ++shown;
-        }
-      }
+  engine.SetEventSink([&shown](const core::DigestEvent& ev) {
+    if (ev.messages.size() >= 8 && shown < 10) {
+      std::printf("closed: %s\n", ev.Format().c_str());
+      ++shown;
     }
+  });
+  for (const Arrival& a : arrivals) {
+    engine.IngestDatagram(a.datagram);
+    engine.Pump();
   }
-  for (auto& rec : collector.Flush()) {
-    ++total_records;
-    total_events += digester.Push(rec).size();
-  }
-  total_events += digester.Flush().size();
+  engine.Finish();
 
   std::printf("...\n");
   std::printf(
       "day complete: %zu datagrams sent, %zu malformed dropped, %zu "
-      "records digested into %zu events (%zu rules fired)\n",
-      arrivals.size(), collector.malformed_count(), total_records,
-      total_events, digester.active_rule_count());
+      "records digested into %zu events\n",
+      arrivals.size(), engine.collector().malformed_count(),
+      engine.collector().released_count(), engine.event_count());
   return 0;
 }

@@ -119,10 +119,6 @@ class Augmenter {
 
   const LocationDict& dict() const noexcept { return *dict_; }
 
-  // The resolver whose intern order the checkpoint persists.
-  RouterResolver& resolver() noexcept { return resolver_; }
-  const RouterResolver& resolver() const noexcept { return resolver_; }
-
  private:
   TemplateSet* templates_;
   LocationExtractor extractor_;

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/registry.h"
-#include "pipeline/stages.h"
-#include "pipeline/tracker.h"
+#include "pipeline/pipeline.h"
 
 namespace sld::core {
 
@@ -68,68 +66,15 @@ DigestEvent BuildEvent(const std::vector<const Augmented*>& messages,
 
 DigestResult Digester::Digest(std::span<const syslog::SyslogRecord> stream,
                               const DigestOptions& options) {
-  DigestResult result;
-  result.message_count = stream.size();
-  if (stream.empty()) return result;
-
-  // Thin driver over the pipeline stage graph with an unbounded idle
-  // horizon: no group closes before the final flush, so the partition is
-  // the closed-stream partition.  The same stages power the incremental
-  // StreamingDigester and the multi-threaded pipeline::ShardedPipeline.
-  Augmenter augmenter(&kb_->templates, dict_);
-  pipeline::TemporalStage temporal(kb_->temporal_params,
-                                   &kb_->temporal_priors);
-  pipeline::RuleStage rules(&kb_->rules, kb_->rule_params.window_ms, dict_);
-  pipeline::CrossRouterStage cross(dict_, options.cross_router_window);
-  pipeline::GroupTracker tracker(kb_, dict_,
-                                 pipeline::GroupTracker::kUnboundedMs,
-                                 pipeline::GroupTracker::kUnboundedMs);
-  if (metrics_ != nullptr) {
-    tracker.BindMetrics(metrics_);
-    metrics_
-        ->AddCounter("digester_messages_total",
-                     "records fed to the batch digester")
-        ->Inc(stream.size());
-  }
-
-  std::vector<pipeline::MergeEdge> edges;
-  std::vector<std::uint64_t> fired_rules;
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    const Augmented msg = augmenter.Augment(stream[i], i);
-    tracker.Add(msg);
-    edges.clear();
-    fired_rules.clear();
-    temporal.Feed(msg, &edges);
-    if (options.use_rules) rules.Feed(msg, &edges, &fired_rules);
-    tracker.ApplyEdges(edges);
-    tracker.NoteRules(fired_rules);
-    if (options.use_cross_router) {
-      edges.clear();
-      cross.Feed(
-          msg,
-          [&tracker](std::size_t a, std::size_t b) {
-            return tracker.SameGroup(a, b);
-          },
-          &edges);
-      tracker.ApplyEdges(edges);
-    }
-    tracker.Touch(msg.raw_index, msg.time);
-  }
-
-  result.events = tracker.Flush();
-  result.active_rule_count = tracker.active_rule_count();
-  if (metrics_ != nullptr) {
-    metrics_
-        ->AddCounter("digester_events_total",
-                     "events emitted by the batch digester")
-        ->Inc(result.events.size());
-  }
-  std::sort(result.events.begin(), result.events.end(),
-            [](const DigestEvent& a, const DigestEvent& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.start < b.start;
-            });
-  return result;
+  // The one digest driver at one shard, with the default unbounded idle
+  // and max-age horizons: no group closes before the final flush, so the
+  // partition is the closed-stream partition.
+  pipeline::PipelineOptions opts;
+  opts.digest = options;
+  opts.metrics = metrics_;
+  pipeline::ShardedPipeline pipeline(kb_, dict_, opts);
+  for (const syslog::SyslogRecord& rec : stream) pipeline.Push(rec);
+  return pipeline.Finish();
 }
 
 }  // namespace sld::core

@@ -3,7 +3,9 @@
 //
 // All merges flow through one union-find, so the final partition is
 // independent of the order the three grouping methods run in — the paper's
-// §4.2.3 observation, which tests/grouping verifies.
+// §4.2.3 observation, which tests/grouping verifies.  The stages and
+// their one driver live in src/pipeline; Digester is the batch entry
+// point over that driver.
 #pragma once
 
 #include <span>
@@ -58,8 +60,7 @@ struct DigestResult {
 };
 
 // Assembles a presented event (time range, score, label, locations) from
-// the augmented messages of one group.  Shared by the batch Digester and
-// the StreamingDigester.
+// the augmented messages of one group (pipeline::GroupTracker's closer).
 DigestEvent BuildEvent(const std::vector<const Augmented*>& messages,
                        const KnowledgeBase& kb, const LocationDict& dict);
 
@@ -78,9 +79,9 @@ class Digester {
   DigestResult Digest(std::span<const syslog::SyslogRecord> stream,
                       const DigestOptions& options = {});
 
-  // Routes driver + tracker metrics of subsequent Digest() calls into
-  // `reg` (digester_* and tracker_* series); `reg` must outlive the
-  // digester.
+  // Routes the pipeline metrics of subsequent Digest() calls into `reg`
+  // (pipeline_* and tracker_* series, DESIGN.md §9); `reg` must outlive
+  // the digester.
   void BindMetrics(obs::Registry* reg) { metrics_ = reg; }
 
  private:

@@ -53,6 +53,10 @@ Engine::Engine(core::KnowledgeBase* kb, const core::LocationDict* dict,
       collector_(options_.hold_ms, options_.year,
                  options_.suppress_duplicates) {
   if (options_.shards == 0) options_.shards = 1;
+  if (options_.idle_close_ms <= 0) {
+    options_.idle_close_ms =
+        kb_->temporal_params.smax + kb_->rule_params.window_ms;
+  }
   if (options_.metrics != nullptr) {
     if (options_.tenant.empty()) {
       reg_ = options_.metrics;
@@ -69,8 +73,11 @@ Engine::Engine(core::KnowledgeBase* kb, const core::LocationDict* dict,
 }
 
 Engine::~Engine() {
-  // Join pipeline threads even on an abandoned engine.
-  if (pipeline_ != nullptr && !finished_) pipeline_->Finish();
+  // Stop the stage first, while the sink and the event log its merge
+  // thread may still deliver to are alive.  An unfinished engine stops
+  // like a crash: its open groups are not flushed into events, so a
+  // durable engine's log keeps matching its snapshot.
+  pipeline_.reset();
 }
 
 std::unique_ptr<Engine> Engine::Load(const std::string& configs_dir,
@@ -104,36 +111,18 @@ std::unique_ptr<Engine> Engine::Load(const std::string& configs_dir,
 void Engine::SetEventSink(EventSink sink) { sink_ = std::move(sink); }
 
 void Engine::EnsureStream() {
-  if (streaming_ != nullptr || pipeline_ != nullptr) return;
-  if (options_.shards > 1) {
-    pipeline::PipelineOptions opts;
-    opts.digest = options_.digest;
-    opts.shards = options_.shards;
-    opts.idle_close_ms = options_.idle_close_ms > 0
-                             ? options_.idle_close_ms
-                             : kb_->temporal_params.smax +
-                                   kb_->rule_params.window_ms;
-    opts.max_group_age_ms = options_.max_group_age_ms;
-    opts.metrics = reg_;
-    pipeline_ = std::make_unique<pipeline::ShardedPipeline>(kb_, dict_, opts);
-    if (sink_ || durable()) {
-      // The pipeline invokes this on its merge thread; per-tenant event
-      // order is the deterministic close order either way.  A durable
-      // engine installs the sink even without a consumer so every event
-      // reaches the log as it closes.
-      pipeline_->SetEventSink(
-          [this](core::DigestEvent ev) { DeliverEvent(std::move(ev)); });
-    }
-  } else {
-    streaming_ = std::make_unique<core::StreamingDigester>(
-        kb_, dict_, options_.digest, options_.idle_close_ms,
-        options_.max_group_age_ms);
-    if (reg_ != nullptr) streaming_->BindMetrics(reg_);
-  }
-}
-
-void Engine::Emit(std::vector<core::DigestEvent> events) {
-  for (core::DigestEvent& ev : events) DeliverEvent(std::move(ev));
+  if (pipeline_ != nullptr) return;
+  pipeline::PipelineOptions opts;
+  opts.digest = options_.digest;
+  opts.shards = options_.shards;
+  opts.idle_close_ms = options_.idle_close_ms;
+  opts.max_group_age_ms = options_.max_group_age_ms;
+  opts.metrics = reg_;
+  pipeline_ = std::make_unique<pipeline::ShardedPipeline>(kb_, dict_, opts);
+  // Per-tenant event order is the deterministic close order at any shard
+  // count; every event reaches the log (when durable) as it closes.
+  pipeline_->SetEventSink(
+      [this](core::DigestEvent ev) { DeliverEvent(std::move(ev)); });
 }
 
 void Engine::DeliverEvent(core::DigestEvent ev) {
@@ -168,11 +157,7 @@ void Engine::DeliverEvent(core::DigestEvent ev) {
 
 void Engine::Feed(const syslog::SyslogRecord& rec) {
   EnsureStream();
-  if (pipeline_ != nullptr) {
-    pipeline_->Push(rec);
-  } else {
-    Emit(streaming_->Push(rec));
-  }
+  pipeline_->Push(rec);
 }
 
 bool Engine::IngestDatagram(std::string_view datagram) {
@@ -239,25 +224,8 @@ std::vector<core::DigestEvent> Engine::Finish() {
   if (finished_) return {};
   finished_ = true;
   for (auto& rec : collector_.Flush()) Feed(rec);
-  std::vector<core::DigestEvent> remaining;
-  if (pipeline_ != nullptr) {
-    core::DigestResult result = pipeline_->Finish();
-    if (sink_ || durable()) {
-      // Every event was already delivered through DeliverEvent on the
-      // merge thread; a sink-less durable engine accumulated them.
-      remaining = std::move(collected_);
-      collected_.clear();
-    } else {
-      // Without a sink the pipeline collected them (score order).
-      events_.fetch_add(result.events.size(), std::memory_order_relaxed);
-      remaining = std::move(result.events);
-    }
-  } else if (streaming_ != nullptr) {
-    Emit(streaming_->Flush());
-    remaining = std::move(collected_);
-    collected_.clear();
-  }
-  return remaining;
+  if (pipeline_ != nullptr) pipeline_->Finish();
+  return std::exchange(collected_, {});
 }
 
 bool Engine::OpenDurable(const std::string& dir, std::string* error) {
@@ -370,9 +338,7 @@ bool Engine::RestoreFromBody(std::string_view body, std::string* error) {
     }
     kb_->templates = core::TemplateSet::Deserialize(templates);
     EnsureStream();
-    const bool ok = pipeline_ != nullptr ? pipeline_->LoadState(&r)
-                                         : streaming_->LoadState(&r);
-    if (!ok) {
+    if (!pipeline_->LoadState(&r)) {
       if (error != nullptr) *error = "corrupt stage state in snapshot";
       return false;
     }
@@ -396,15 +362,10 @@ bool Engine::Checkpoint(std::string* error) {
   body.Str(options_.tenant);
   body.U64(events_.load(std::memory_order_relaxed));
   collector_.SaveState(&body);
-  const bool has_stage = streaming_ != nullptr || pipeline_ != nullptr;
-  body.U8(has_stage ? 1 : 0);
-  if (has_stage) {
+  body.U8(pipeline_ != nullptr ? 1 : 0);
+  if (pipeline_ != nullptr) {
     body.Str(kb_->templates.Serialize());
-    if (pipeline_ != nullptr) {
-      pipeline_->SaveState(&body);
-    } else {
-      streaming_->SaveState(&body);
-    }
+    pipeline_->SaveState(&body);
   }
   if (!ckpt::WriteSnapshotFile(ckpt_dir_ + "/snapshot", body.data(), error)) {
     if (ckpt_cells_.save_failures != nullptr) ckpt_cells_.save_failures->Inc();
@@ -434,25 +395,19 @@ double Engine::SecondsSinceCheckpoint() noexcept {
 }
 
 std::size_t Engine::open_group_count() const noexcept {
-  if (pipeline_ != nullptr) return pipeline_->open_group_count();
-  if (streaming_ != nullptr) return streaming_->open_group_count();
-  return 0;
+  return pipeline_ != nullptr ? pipeline_->open_group_count() : 0;
 }
 
 core::DigestResult Engine::Digest(
     std::span<const syslog::SyslogRecord> records) {
-  if (options_.shards > 1) {
-    pipeline::PipelineOptions opts;
-    opts.digest = options_.digest;
-    opts.shards = options_.shards;
-    opts.metrics = reg_;
-    pipeline::ShardedPipeline p(kb_, dict_, opts);
-    for (const auto& rec : records) p.Push(rec);
-    return p.Finish();
-  }
-  core::Digester digester(kb_, dict_);
-  if (reg_ != nullptr) digester.BindMetrics(reg_);
-  return digester.Digest(records, options_.digest);
+  // The batch form: a fresh pipeline with unbounded horizons.
+  pipeline::PipelineOptions opts;
+  opts.digest = options_.digest;
+  opts.shards = options_.shards;
+  opts.metrics = reg_;
+  pipeline::ShardedPipeline p(kb_, dict_, opts);
+  for (const auto& rec : records) p.Push(rec);
+  return p.Finish();
 }
 
 }  // namespace sld::engine

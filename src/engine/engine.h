@@ -4,9 +4,10 @@
 // production process serves many independent networks at once.  An Engine
 // owns everything that is *per-network* state — the KnowledgeBase, the
 // LocationDict, the Collector front (reorder/dedup/loss accounting), the
-// digest stage (StreamingDigester at shards<=1, ShardedPipeline above),
-// and the event sink — while everything *shared* (the thread pool, the
-// one obs Registry, the UDP sockets) lives in EngineHost.
+// digest stage (one pipeline::ShardedPipeline: inline at shards == 1,
+// shard workers plus a merge thread above), and the event sink — while
+// everything *shared* (the thread pool, the one obs Registry, the UDP
+// sockets) lives in EngineHost.
 //
 // The CLI's digest/stream/serve commands are thin drivers over this
 // class; the per-tenant event stream is bit-identical to a dedicated
@@ -35,7 +36,6 @@
 
 #include "ckpt/eventlog.h"
 #include "core/digest.h"
-#include "core/stream.h"
 #include "net/config_parser.h"
 #include "pipeline/pipeline.h"
 #include "syslog/collector.h"
@@ -47,14 +47,20 @@ struct EngineOptions {
   // no tenant label (single-tenant legacy modes keep their series names).
   std::string tenant;
   core::DigestOptions digest;
-  // 1 = in-place StreamingDigester; N>1 = ShardedPipeline with N shard
-  // workers.  The event partition is identical either way.
+  // 1 = the digest stage runs inline on the pumping thread; N>1 = N
+  // shard workers plus a merge thread.  The events are identical either
+  // way.
   std::size_t shards = 1;
   // Collector front knobs (see syslog::Collector).
   TimeMs hold_ms = 5 * kMsPerSecond;
   int year = 2009;
   bool suppress_duplicates = false;
-  // Group lifecycle (see core::StreamingDigester).
+  // Group lifecycle (see pipeline::GroupTracker).  A group closes once
+  // the stream clock passes its last message by idle_close_ms; 0 selects
+  // the smallest horizon that preserves batch equivalence, S_max (the
+  // longest temporal-grouping gap) plus the rule window W.  A group still
+  // active after max_group_age_ms is force-closed, bounding latency and
+  // memory for never-ending periodic trains.
   TimeMs idle_close_ms = 0;
   TimeMs max_group_age_ms = 24 * kMsPerHour;
   // Root registry (may be null).  The engine scopes it by tenant; must
@@ -77,6 +83,9 @@ class Engine {
   // gain catch-all templates.
   Engine(core::KnowledgeBase* kb, const core::LocationDict* dict,
          EngineOptions options);
+  // Without Finish() this stops like a crash (see ShardedPipeline):
+  // open groups are dropped, not flushed, so a durable engine never logs
+  // an event its snapshot still holds open.
   ~Engine();
 
   Engine(const Engine&) = delete;
@@ -91,8 +100,8 @@ class Engine {
                                       std::string* error);
 
   // Install before the first record; events are delivered as they close
-  // (on the merge thread when shards > 1).  Without a sink, closed
-  // events accumulate and Finish() returns them.
+  // (inside Pump/Finish at shards == 1, on the merge thread above).
+  // Without a sink, closed events accumulate and Finish() returns them.
   void SetEventSink(EventSink sink);
 
   // Live path: records route through the collector (reorder window,
@@ -114,9 +123,9 @@ class Engine {
   std::size_t Pump();
 
   // End of stream: flushes the collector, closes every open group, and
-  // joins pipeline threads.  Events that closed here go to the sink, or
-  // are returned (in close order at shards<=1, score order above) when
-  // no sink is installed.  Idempotent.
+  // joins pipeline threads.  Events that closed here go to the sink, or,
+  // when no sink is installed, every event of the run is returned in
+  // close order.  Idempotent.
   std::vector<core::DigestEvent> Finish();
 
   // Durability (DESIGN.md §14).  Attaches `dir` as the checkpoint
@@ -172,7 +181,6 @@ class Engine {
  private:
   void EnsureStream();
   void Feed(const syslog::SyslogRecord& rec);
-  void Emit(std::vector<core::DigestEvent> events);
   // Every closed event funnels through here (merge thread when shards>1):
   // assigns the dense event sequence number, suppresses already-logged
   // events after a restore, appends + fsyncs to the durable log, then
@@ -202,7 +210,6 @@ class Engine {
 
   // Live digest stage, built lazily on the first released record so a
   // batch-only engine never spawns pipeline threads.
-  std::unique_ptr<core::StreamingDigester> streaming_;
   std::unique_ptr<pipeline::ShardedPipeline> pipeline_;
 
   EventSink sink_;

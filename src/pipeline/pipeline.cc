@@ -2,13 +2,19 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
+#include <thread>
 
-#include "core/location/extractor.h"
+#include "common/bounded_queue.h"
 #include "pipeline/state_io.h"
 
 namespace sld::pipeline {
 namespace {
+
+// Batches buffered per queue before back-pressure reaches the ingest.
+constexpr std::size_t kQueueCapacity = 64;
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -18,243 +24,284 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-ShardedPipeline::ShardedPipeline(core::KnowledgeBase* kb,
-                                 const core::LocationDict* dict,
-                                 PipelineOptions options)
-    : kb_(kb),
-      dict_(dict),
-      options_(options),
-      matcher_(&kb->templates),
-      resolver_(dict),
-      tracker_(kb, dict, options.idle_close_ms, options.max_group_age_ms,
-               &matcher_.mutex()),
-      cross_(dict, options.digest.cross_router_window),
+struct ShardedPipeline::Threads {
+  struct Input {
+    std::size_t seq;
+    std::uint32_t router_key;
+    bool router_known;
+    syslog::SyslogRecord rec;
+  };
+  struct Lane {
+    BoundedQueue<std::vector<Input>> in{kQueueCapacity};
+    BoundedQueue<std::vector<ShardOutput>> out{kQueueCapacity};
+    std::vector<Input> pending;  // ingest-side batch being filled
+    std::thread worker;
+    obs::Gauge* queue_depth = nullptr;
+    obs::Histogram* batch_seconds = nullptr;
+  };
+
+  explicit Threads(std::size_t shards)
       // The order queue must never be the blocking edge: size it past the
       // worst-case number of in-flight batches so back-pressure always
       // comes from the shard queues.
-      order_(std::max<std::size_t>(1, options.shards) *
-                 options.queue_capacity * 2 +
-             16) {
+      : order(shards * kQueueCapacity * 2 + 16) {
+    for (std::size_t k = 0; k < shards; ++k) {
+      lanes.push_back(std::make_unique<Lane>());
+    }
+  }
+
+  std::vector<std::unique_ptr<Lane>> lanes;
+  // Shard id of every sequence number, in batches, in ingest order: the
+  // merge thread's replay schedule.
+  BoundedQueue<std::vector<std::uint32_t>> order;
+  std::vector<std::uint32_t> pending_order;
+  // The backlog gauge is the primary back-pressure signal: schedule
+  // batches the merge thread has not replayed yet.
+  obs::Gauge* backlog = nullptr;
+  obs::Histogram* merge_seconds = nullptr;
+
+  // Quiesce rendezvous: the merge thread publishes how many records it
+  // has replayed; Quiesce() waits for it to catch up with seq_.
+  std::mutex quiesce_mutex;
+  std::condition_variable quiesce_cv;
+  std::size_t merged_count = 0;
+
+  std::thread merge;
+};
+
+void ShardedPipeline::Shard::BindMetrics(obs::Registry* reg,
+                                         std::size_t shard_id) {
+  messages_cell = reg->AddCounter("pipeline_shard_messages_total",
+                                  "messages processed by this shard",
+                                  {{"shard", std::to_string(shard_id)}});
+  cache_hits_cell = reg->AddCounter("pipeline_match_cache_hits_total",
+                                    "memo-cache hits across shards");
+  cache_misses_cell = reg->AddCounter(
+      "pipeline_match_cache_misses_total",
+      "memo-cache lookups that fell through to the shared matcher");
+  cache_invalidations_cell = reg->AddCounter(
+      "pipeline_match_cache_invalidations_total",
+      "memo-cache epoch flushes across shards");
+}
+
+void ShardedPipeline::Shard::Publish(std::size_t messages) {
+  if (messages_cell == nullptr) return;
+  messages_cell->Inc(messages);
+  const std::uint64_t lookups = match_cache.lookups() - published_lookups;
+  const std::uint64_t hits = match_cache.hits() - published_hits;
+  cache_hits_cell->Inc(hits);
+  cache_misses_cell->Inc(lookups - hits);
+  cache_invalidations_cell->Inc(match_cache.invalidations() -
+                                published_invalidations);
+  published_lookups = match_cache.lookups();
+  published_hits = match_cache.hits();
+  published_invalidations = match_cache.invalidations();
+}
+
+ShardedPipeline::ShardedPipeline(core::KnowledgeBase* kb,
+                                 const core::LocationDict* dict,
+                                 PipelineOptions options)
+    : dict_(dict),
+      options_(options),
+      matcher_(&kb->templates),
+      resolver_(dict),
+      extractor_(dict),
+      // Threaded, workers may grow the template set (catch-all creation)
+      // while the merge thread reads it for event labels.
+      tracker_(kb, dict, options.idle_close_ms, options.max_group_age_ms,
+               &matcher_.mutex()),
+      cross_(dict, options.digest.cross_router_window) {
   const std::size_t n = std::max<std::size_t>(1, options_.shards);
-  options_.shards = n;
   options_.batch_size = std::max<std::size_t>(1, options_.batch_size);
-  shards_.reserve(n);
-  pending_in_.resize(n);
   for (std::size_t k = 0; k < n; ++k) {
-    shards_.push_back(
-        std::make_unique<Shard>(options_.queue_capacity, kb_, dict_));
+    shards_.push_back(std::make_unique<Shard>(kb, dict));
   }
-  if (options_.metrics != nullptr) tracker_.BindMetrics(options_.metrics);
-  for (std::size_t k = 0; k < n; ++k) {
-    shards_[k]->worker =
-        std::thread([this, k] { RunShard(*shards_[k], k); });
+  if (n > 1) threads_ = std::make_unique<Threads>(n);
+
+  if (obs::Registry* reg = options_.metrics) {
+    tracker_.BindMetrics(reg);
+    merged_cell_ = reg->AddCounter(
+        "pipeline_merge_messages_total",
+        "messages replayed by the sequenced merge step");
+    for (std::size_t k = 0; k < n; ++k) shards_[k]->BindMetrics(reg, k);
+    if (threads_ != nullptr) {
+      for (std::size_t k = 0; k < n; ++k) {
+        Threads::Lane& lane = *threads_->lanes[k];
+        lane.queue_depth = reg->AddGauge(
+            "pipeline_shard_queue_depth", "input batches awaiting this shard",
+            {{"shard", std::to_string(k)}});
+        lane.batch_seconds = reg->AddHistogram(
+            "pipeline_shard_batch_seconds",
+            "per-batch shard stage latency (augment+match+per-router "
+            "stages)",
+            obs::LatencyBucketsSeconds());
+      }
+      threads_->backlog = reg->AddGauge(
+          "pipeline_merge_backlog_batches",
+          "order-queue batches awaiting the merge thread");
+      threads_->merge_seconds = reg->AddHistogram(
+          "pipeline_merge_batch_seconds",
+          "per-schedule-batch merge stage latency",
+          obs::LatencyBucketsSeconds());
+    }
   }
-  merge_thread_ = std::thread([this] { RunMerge(); });
+
+  if (threads_ != nullptr) {
+    for (std::size_t k = 0; k < n; ++k) {
+      threads_->lanes[k]->worker = std::thread([this, k] { RunShard(k); });
+    }
+    threads_->merge = std::thread([this] { RunMerge(); });
+  }
 }
 
 ShardedPipeline::~ShardedPipeline() {
-  if (!finished_) Finish();
+  // An abandoned pipeline stops like a crash: open groups are not
+  // flushed into events.
+  JoinThreads();
 }
 
 void ShardedPipeline::SetEventSink(EventSink sink) {
-  // Synchronizes with the merge thread through the queue mutexes: the
-  // merge thread only reads the sink after popping work that was pushed
-  // after this assignment (callers install the sink before the first
-  // Push).
+  // Threaded, this synchronizes with the merge thread through the queue
+  // mutexes: it only reads the sink after popping work pushed after this
+  // assignment (callers install the sink before the first Push).
   sink_ = std::move(sink);
+}
+
+void ShardedPipeline::ShardStep(Shard& shard,
+                                const syslog::SyslogRecord& rec,
+                                std::size_t seq, std::uint32_t router_key,
+                                bool router_known, ShardOutput* out) {
+  out->msg = core::AugmentWithRouting(rec, seq, router_key, router_known,
+                                      extractor_, *dict_);
+  out->msg.tmpl = matcher_.MatchOrFallback(
+      rec.code, rec.detail, &shard.match_cache, &shard.match_scratch);
+  out->edges.clear();
+  out->fired_rules.clear();
+  shard.temporal.Feed(out->msg, &out->edges);
+  if (options_.digest.use_rules) {
+    shard.rules.Feed(out->msg, &out->edges, &out->fired_rules);
+  }
+}
+
+void ShardedPipeline::MergeStep(const ShardOutput& out) {
+  const core::Augmented& msg = out.msg;
+  Deliver(tracker_.Observe(msg.time));
+  tracker_.Add(msg);
+  tracker_.ApplyEdges(out.edges);
+  tracker_.NoteRules(out.fired_rules);
+  if (options_.digest.use_cross_router) {
+    cross_edges_.clear();
+    cross_.Feed(
+        msg,
+        [this](std::size_t a, std::size_t b) {
+          return tracker_.SameGroup(a, b);
+        },
+        &cross_edges_);
+    tracker_.ApplyEdges(cross_edges_);
+  }
+  tracker_.Touch(msg.raw_index, msg.time);
+}
+
+void ShardedPipeline::Deliver(std::vector<core::DigestEvent> events) {
+  for (core::DigestEvent& ev : events) {
+    if (sink_) {
+      sink_(std::move(ev));
+    } else {
+      collected_.push_back(std::move(ev));
+    }
+  }
 }
 
 void ShardedPipeline::Push(const syslog::SyslogRecord& rec) {
   const auto [router_key, known] = resolver_.Resolve(rec.router);
-  const auto sid =
-      static_cast<std::uint32_t>(router_key % shards_.size());
-  pending_in_[sid].push_back({seq_, router_key, known, rec});
-  pending_order_.push_back(sid);
-  ++seq_;
-  if (pending_order_.size() >= options_.batch_size) FlushBatches();
+  const std::size_t seq = seq_++;
+  if (threads_ == nullptr) {
+    Shard& shard = *shards_.front();
+    ShardStep(shard, rec, seq, router_key, known, &inline_out_);
+    shard.Publish(1);
+    MergeStep(inline_out_);
+    if (merged_cell_ != nullptr) merged_cell_->Inc();
+    return;
+  }
+  const auto sid = static_cast<std::uint32_t>(router_key % shards_.size());
+  threads_->lanes[sid]->pending.push_back({seq, router_key, known, rec});
+  threads_->pending_order.push_back(sid);
+  if (threads_->pending_order.size() >= options_.batch_size) FlushBatches();
 }
 
 void ShardedPipeline::FlushBatches() {
   // Shard batches first, their order batch last: when the merge thread
   // sees a sequence number in the schedule, its input is already queued.
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    if (pending_in_[k].empty()) continue;
-    std::vector<ShardInput> batch;
-    batch.swap(pending_in_[k]);
-    shards_[k]->in.Push(std::move(batch));
+  for (auto& lane : threads_->lanes) {
+    if (lane->pending.empty()) continue;
+    std::vector<Threads::Input> batch;
+    batch.swap(lane->pending);
+    lane->in.Push(std::move(batch));
   }
-  if (!pending_order_.empty()) {
+  if (!threads_->pending_order.empty()) {
     std::vector<std::uint32_t> order;
-    order.swap(pending_order_);
-    order_.Push(std::move(order));
+    order.swap(threads_->pending_order);
+    threads_->order.Push(std::move(order));
   }
 }
 
-void ShardedPipeline::RunShard(Shard& shard, std::size_t shard_id) {
-  core::LocationExtractor extractor(dict_);
-  // Shard-private match state: the memo cache and the token scratch make
-  // the steady-state signature match lock- and allocation-free.
-  ShardMatchCache match_cache;
-  ShardMatchCache* cache =
-      options_.use_match_cache ? &match_cache : nullptr;
-  std::vector<std::string_view> match_scratch;
-
-  // Shard-private metric cells: messages/queue-depth carry a shard label
-  // (per-shard rates are the point); the batch-latency histogram and the
-  // memo-cache counters register unlabeled — every shard's cell folds
-  // into one series at snapshot time.
-  struct ShardCells {
-    obs::Counter* messages = nullptr;
-    obs::Gauge* queue_depth = nullptr;
-    obs::Histogram* batch_seconds = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* cache_misses = nullptr;
-    obs::Counter* cache_invalidations = nullptr;
-  } cells;
-  if (options_.metrics != nullptr) {
-    obs::Registry* reg = options_.metrics;
-    const obs::Labels shard_label = {{"shard", std::to_string(shard_id)}};
-    cells.messages = reg->AddCounter("pipeline_shard_messages_total",
-                                     "messages processed by this shard",
-                                     shard_label);
-    cells.queue_depth = reg->AddGauge("pipeline_shard_queue_depth",
-                                      "input batches awaiting this shard",
-                                      shard_label);
-    cells.batch_seconds = reg->AddHistogram(
-        "pipeline_shard_batch_seconds",
-        "per-batch shard stage latency (augment+match+per-router stages)",
-        obs::LatencyBucketsSeconds());
-    cells.cache_hits = reg->AddCounter("pipeline_match_cache_hits_total",
-                                       "memo-cache hits across shards");
-    cells.cache_misses = reg->AddCounter(
-        "pipeline_match_cache_misses_total",
-        "memo-cache lookups that fell through to the shared matcher");
-    cells.cache_invalidations = reg->AddCounter(
-        "pipeline_match_cache_invalidations_total",
-        "memo-cache epoch flushes across shards");
-  }
-  std::uint64_t prev_lookups = 0, prev_hits = 0, prev_invalidations = 0;
-
-  while (auto batch = shard.in.Pop()) {
+void ShardedPipeline::RunShard(std::size_t shard_id) {
+  Shard& shard = *shards_[shard_id];
+  Threads::Lane& lane = *threads_->lanes[shard_id];
+  while (auto batch = lane.in.Pop()) {
     const auto batch_start = std::chrono::steady_clock::now();
-    std::vector<ShardOutput> out;
-    out.reserve(batch->size());
-    for (ShardInput& in : *batch) {
-      ShardOutput o;
-      o.msg = core::AugmentWithRouting(in.rec, in.seq, in.router_key,
-                                       in.router_known, extractor, *dict_);
-      o.msg.tmpl = matcher_.MatchOrFallback(in.rec.code, in.rec.detail,
-                                            cache, &match_scratch);
-      shard.temporal.Feed(o.msg, &o.edges);
-      if (options_.digest.use_rules) {
-        shard.rules.Feed(o.msg, &o.edges, &o.fired_rules);
-      }
-      out.push_back(std::move(o));
+    std::vector<ShardOutput> out(batch->size());
+    for (std::size_t i = 0; i < batch->size(); ++i) {
+      const Threads::Input& in = (*batch)[i];
+      ShardStep(shard, in.rec, in.seq, in.router_key, in.router_known,
+                &out[i]);
     }
-    if (cells.messages != nullptr) {
-      cells.messages->Inc(out.size());
-      cells.batch_seconds->Observe(SecondsSince(batch_start));
-      cells.queue_depth->Set(static_cast<std::int64_t>(shard.in.size()));
-      if (cache != nullptr) {
-        const std::uint64_t dl = cache->lookups() - prev_lookups;
-        const std::uint64_t dh = cache->hits() - prev_hits;
-        cells.cache_hits->Inc(dh);
-        cells.cache_misses->Inc(dl - dh);
-        cells.cache_invalidations->Inc(cache->invalidations() -
-                                       prev_invalidations);
-        prev_lookups = cache->lookups();
-        prev_hits = cache->hits();
-        prev_invalidations = cache->invalidations();
-      }
+    shard.Publish(out.size());
+    if (lane.batch_seconds != nullptr) {
+      lane.batch_seconds->Observe(SecondsSince(batch_start));
+      lane.queue_depth->Set(static_cast<std::int64_t>(lane.in.size()));
     }
-    if (!shard.out.Push(std::move(out))) break;  // merge side gone
+    if (!lane.out.Push(std::move(out))) break;  // merge side gone
   }
-  shard.out.Close();
+  lane.out.Close();
 }
 
 void ShardedPipeline::RunMerge() {
+  Threads& t = *threads_;
   std::vector<std::vector<ShardOutput>> current(shards_.size());
   std::vector<std::size_t> cursor(shards_.size(), 0);
-  std::vector<MergeEdge> cross_edges;
-
-  // Merge-thread metric cells: the backlog gauge is the pipeline's
-  // primary back-pressure signal (schedule batches the merge thread has
-  // not replayed yet).
-  obs::Counter* merged_messages = nullptr;
-  obs::Gauge* backlog = nullptr;
-  obs::Histogram* merge_seconds = nullptr;
-  if (options_.metrics != nullptr) {
-    merged_messages = options_.metrics->AddCounter(
-        "pipeline_merge_messages_total",
-        "messages replayed by the sequenced merge thread");
-    backlog = options_.metrics->AddGauge(
-        "pipeline_merge_backlog_batches",
-        "order-queue batches awaiting the merge thread");
-    merge_seconds = options_.metrics->AddHistogram(
-        "pipeline_merge_batch_seconds",
-        "per-schedule-batch merge stage latency",
-        obs::LatencyBucketsSeconds());
-  }
-  const auto emit = [this](std::vector<core::DigestEvent> events) {
-    for (core::DigestEvent& ev : events) {
-      if (sink_) {
-        sink_(std::move(ev));
-      } else {
-        collected_.push_back(std::move(ev));
-      }
-    }
-  };
-
-  while (auto schedule = order_.Pop()) {
+  while (auto schedule = t.order.Pop()) {
     const auto batch_start = std::chrono::steady_clock::now();
     for (const std::uint32_t sid : *schedule) {
       if (cursor[sid] >= current[sid].size()) {
-        auto next = shards_[sid]->out.Pop();
+        auto next = t.lanes[sid]->out.Pop();
         if (!next) return;  // shard aborted; drop the rest
         current[sid] = std::move(*next);
         cursor[sid] = 0;
       }
-      ShardOutput& o = current[sid][cursor[sid]++];
-      const TimeMs t = o.msg.time;
-      const std::size_t seq = o.msg.raw_index;
-
-      emit(tracker_.Observe(t));
-      tracker_.Add(o.msg);
-      tracker_.ApplyEdges(o.edges);
-      tracker_.NoteRules(o.fired_rules);
-      if (options_.digest.use_cross_router) {
-        cross_edges.clear();
-        cross_.Feed(
-            o.msg,
-            [this](std::size_t a, std::size_t b) {
-              return tracker_.SameGroup(a, b);
-            },
-            &cross_edges);
-        tracker_.ApplyEdges(cross_edges);
-      }
-      tracker_.Touch(seq, t);
+      MergeStep(current[sid][cursor[sid]++]);
     }
-    if (merged_messages != nullptr) {
-      merged_messages->Inc(schedule->size());
-      merge_seconds->Observe(SecondsSince(batch_start));
-      backlog->Set(static_cast<std::int64_t>(order_.size()));
+    if (merged_cell_ != nullptr) {
+      merged_cell_->Inc(schedule->size());
+      t.merge_seconds->Observe(SecondsSince(batch_start));
+      t.backlog->Set(static_cast<std::int64_t>(t.order.size()));
     }
     {
-      std::lock_guard<std::mutex> lock(quiesce_mutex_);
-      merged_count_ += schedule->size();
+      std::lock_guard<std::mutex> lock(t.quiesce_mutex);
+      t.merged_count += schedule->size();
     }
-    quiesce_cv_.notify_all();
+    t.quiesce_cv.notify_all();
   }
-  emit(tracker_.Flush());
 }
 
 void ShardedPipeline::Quiesce() {
-  // After Finish() the threads are joined and every record replayed;
-  // the queues are closed, so skip the flush-and-wait entirely.
-  if (finished_) return;
+  // Inline, Push merges before it returns; after Finish the threads are
+  // joined and gone.
+  if (threads_ == nullptr) return;
   FlushBatches();
-  std::unique_lock<std::mutex> lock(quiesce_mutex_);
-  quiesce_cv_.wait(lock, [this] { return merged_count_ >= seq_; });
+  std::unique_lock<std::mutex> lock(threads_->quiesce_mutex);
+  threads_->quiesce_cv.wait(
+      lock, [this] { return threads_->merged_count >= seq_; });
 }
 
 void ShardedPipeline::SaveState(ckpt::Writer* w) {
@@ -290,23 +337,30 @@ bool ShardedPipeline::LoadState(ckpt::Reader* r) {
          cross_.ImportEntry(e);
        });
   ok = ok && tracker_.LoadState(r);
-  {
+  if (threads_ != nullptr) {
     // The restored records were already replayed in the previous life;
     // without this, the first Quiesce() would wait for seq_ forever.
-    std::lock_guard<std::mutex> lock(quiesce_mutex_);
-    merged_count_ = seq_;
+    std::lock_guard<std::mutex> lock(threads_->quiesce_mutex);
+    threads_->merged_count = seq_;
   }
   return ok;
+}
+
+void ShardedPipeline::JoinThreads() {
+  if (threads_ == nullptr) return;
+  for (auto& lane : threads_->lanes) lane->in.Close();
+  threads_->order.Close();
+  for (auto& lane : threads_->lanes) lane->worker.join();
+  threads_->merge.join();
+  threads_.reset();
 }
 
 core::DigestResult ShardedPipeline::Finish() {
   if (!finished_) {
     finished_ = true;
-    FlushBatches();
-    for (auto& shard : shards_) shard->in.Close();
-    order_.Close();
-    for (auto& shard : shards_) shard->worker.join();
-    merge_thread_.join();
+    if (threads_ != nullptr) FlushBatches();
+    JoinThreads();
+    Deliver(tracker_.Flush());
   }
   core::DigestResult result;
   result.message_count = seq_;

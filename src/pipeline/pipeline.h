@@ -1,34 +1,38 @@
-// ShardedPipeline: the deployment form of the stage graph (§4.2 online
-// system at production scale).
+// ShardedPipeline: the one digest driver over the stage graph (§4.2's
+// online system).
 //
-// One ingest thread (the caller of Push) decodes/collects, resolves each
-// record's router key, and deals records to N shard workers connected by
-// BoundedQueues of record batches.  Each worker augments its records
-// (signature match through the shared ConcurrentTemplateMatcher, location
-// extraction) and runs the per-router stages (TemporalStage + RuleStage),
-// emitting merge edges.  A single sequenced merge thread replays the
-// shard outputs in global arrival order — an order queue carries the
-// shard id of every sequence number — applies the edges to the one
-// union-find (GroupTracker), runs the only globally-coupled pass
-// (CrossRouterStage), and closes idle groups into events.
+// Every record takes the same two steps.  The shard step augments it
+// (location extraction plus a memoized signature match through the
+// shared ConcurrentTemplateMatcher) and runs the per-router stages
+// (TemporalStage + RuleStage), emitting merge edges.  The merge step, in
+// global arrival order, advances the GroupTracker's stream clock (closing
+// idle groups into events), admits the message, applies its edges to the
+// one union-find, runs the only globally-coupled pass (CrossRouterStage),
+// and refreshes the group's activity clock.
 //
-// Because the merge thread consumes messages in exactly the ingest order
+// At shards == 1 both steps run inline on the caller's thread inside
+// Push(): no threads, no queues, and the sink has seen every event the
+// record closed before Push() returns.  At shards > 1 the caller deals
+// records (router_key % shards) to N shard workers over BoundedQueues of
+// record batches, and one sequenced merge thread replays the shard
+// outputs in ingest order — an order queue carries the shard id of every
+// sequence number.
+//
+// Because the merge step consumes messages in exactly the ingest order
 // and every edge flows through one union-find, the event partition is
-// bit-identical to the single-threaded StreamingDigester / batch Digester
-// regardless of the shard count (tests/core/pipeline_threads_test.cc
-// holds all three against each other).
+// bit-identical at every shard count (tests/core/pipeline_threads_test.cc;
+// tests/engine/golden_test.cc pins the stream itself).  The batch
+// core::Digester is this pipeline with unbounded horizons.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
+#include <string_view>
 #include <vector>
 
-#include "common/bounded_queue.h"
 #include "core/digest.h"
+#include "core/location/extractor.h"
 #include "obs/registry.h"
 #include "pipeline/matcher.h"
 #include "pipeline/stages.h"
@@ -44,37 +48,36 @@ namespace sld::pipeline {
 
 struct PipelineOptions {
   core::DigestOptions digest;
-  // Worker threads for the per-router stages (router_key % shards).
+  // 1 runs the stage graph inline on the caller's thread; N > 1 runs the
+  // per-router stages on N shard workers (router_key % N) behind one
+  // sequenced merge thread.
   std::size_t shards = 1;
-  // Records per queue batch: one mutex round-trip per batch, not per
-  // message, keeps the queues off the hot path.
+  // Records per queue batch at shards > 1: one mutex round-trip per
+  // batch, not per message, keeps the queues off the hot path.
   std::size_t batch_size = 256;
-  // Batches buffered per queue before back-pressure reaches the ingest.
-  std::size_t queue_capacity = 64;
-  // Group lifecycle (see StreamingDigester): the defaults make the
-  // pipeline a batch digester — nothing closes before Finish().
+  // Group lifecycle (see GroupTracker): the defaults make the pipeline a
+  // batch digester — nothing closes before Finish().
   TimeMs idle_close_ms = GroupTracker::kUnboundedMs;
   TimeMs max_group_age_ms = GroupTracker::kUnboundedMs;
-  // Per-shard signature-match memo cache (see ShardMatchCache).  The
-  // event partition is identical either way; disabling is for A/B
-  // measurement and equivalence tests.
-  bool use_match_cache = true;
-  // Observability (may be null).  Each shard and the merge thread
-  // register their own cells at thread start — DESIGN.md §9 lists the
-  // series — so steady-state updates stay lock-free and allocation-free.
-  // Must outlive the pipeline.
+  // Observability (may be null).  Each shard and the merge step own their
+  // cells — DESIGN.md §9 lists the series per shard count — so
+  // steady-state updates stay lock-free and allocation-free.  Must
+  // outlive the pipeline.
   obs::Registry* metrics = nullptr;
 };
 
 class ShardedPipeline {
  public:
-  // Called on the merge thread for every event that closes before
-  // Finish(); events closed by the final flush go through it too.
+  // Inline (shards == 1) the sink runs synchronously inside Push() and
+  // Finish().  Threaded, it runs on the merge thread, and for the final
+  // flush on the thread calling Finish().
   using EventSink = std::function<void(core::DigestEvent)>;
 
   // `kb` must outlive the pipeline and may gain catch-all templates.
   ShardedPipeline(core::KnowledgeBase* kb, const core::LocationDict* dict,
                   PipelineOptions options = {});
+  // Without Finish() this stops like a crash: queued batches drain and
+  // the threads join, but open groups are dropped, not flushed.
   ~ShardedPipeline();
 
   ShardedPipeline(const ShardedPipeline&) = delete;
@@ -87,18 +90,18 @@ class ShardedPipeline {
   // Feeds one record (timestamps non-decreasing; single producer thread).
   void Push(const syslog::SyslogRecord& rec);
 
-  // Closes the stream, drains every stage, joins the threads, and returns
-  // the digest (events sorted by score like the batch digester, unless a
-  // sink consumed them).  Idempotent.
+  // Closes the stream, drains every stage, joins any threads, and returns
+  // the digest (events sorted by score, unless a sink consumed them).
+  // Idempotent.
   core::DigestResult Finish();
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
 
-  // Blocks the calling (ingest) thread until the merge thread has
-  // replayed every record pushed so far.  The queue mutexes plus the
-  // quiesce mutex establish the happens-before needed to read every
-  // stage's state from this thread afterwards; workers sit blocked on
-  // their empty input queues meanwhile.
+  // Blocks the calling (ingest) thread until every record pushed so far
+  // has been merged; a no-op inline and after Finish.  Threaded, the
+  // queue mutexes plus the quiesce mutex establish the happens-before
+  // needed to read every stage's state from this thread afterwards;
+  // workers sit blocked on their empty input queues meanwhile.
   void Quiesce();
 
   // Checkpointing (DESIGN.md §14).  SaveState quiesces, then writes the
@@ -109,75 +112,88 @@ class ShardedPipeline {
   void SaveState(ckpt::Writer* w);
   bool LoadState(ckpt::Reader* r);
 
-  // Open-group count (merge-thread state: exact after Quiesce/Finish,
-  // approximate mid-stream).  The recovery bench sizes snapshots by it.
+  // Open groups and the messages they hold (merge-step state: exact
+  // inline and after Quiesce/Finish, approximate mid-stream otherwise).
   std::size_t open_group_count() const noexcept {
     return tracker_.open_group_count();
   }
+  std::size_t open_message_count() const noexcept {
+    return tracker_.open_message_count();
+  }
 
  private:
-  struct ShardInput {
-    std::size_t seq;
-    std::uint32_t router_key;
-    bool router_known;
-    syslog::SyslogRecord rec;
-  };
+  // One record's shard-step result, handed to the merge step.
   struct ShardOutput {
     core::Augmented msg;
     std::vector<MergeEdge> edges;           // temporal + rule edges
     std::vector<std::uint64_t> fired_rules;
   };
+  // Per-router stage state plus shard-private match state.  Inline the
+  // caller's thread owns it; threaded, the shard's worker does, and
+  // checkpointing reads it only after Quiesce() (the worker is then
+  // parked on its empty input queue).
   struct Shard {
-    Shard(std::size_t capacity, const core::KnowledgeBase* kb,
-          const core::LocationDict* dict)
-        : in(capacity),
-          out(capacity),
-          temporal(kb->temporal_params, &kb->temporal_priors),
+    Shard(const core::KnowledgeBase* kb, const core::LocationDict* dict)
+        : temporal(kb->temporal_params, &kb->temporal_priors),
           rules(&kb->rules, kb->rule_params.window_ms, dict) {}
-    BoundedQueue<std::vector<ShardInput>> in;
-    BoundedQueue<std::vector<ShardOutput>> out;
-    std::thread worker;
-    // Per-router stage state, owned by the worker thread while running;
-    // checkpointing reads it only after Quiesce() (the worker is then
-    // parked on the empty input queue).
+    void BindMetrics(obs::Registry* reg, std::size_t shard_id);
+    // Adds `messages` and the memo counters' growth since the last call.
+    void Publish(std::size_t messages);
+
     TemporalStage temporal;
     RuleStage rules;
+    // The memo cache and token scratch make the steady-state signature
+    // match lock- and allocation-free.
+    ShardMatchCache match_cache;
+    std::vector<std::string_view> match_scratch;
+    // Metric cells (null without a registry): messages carry a shard
+    // label; the memo counters register unlabeled and fold into one
+    // series at snapshot time.
+    obs::Counter* messages_cell = nullptr;
+    obs::Counter* cache_hits_cell = nullptr;
+    obs::Counter* cache_misses_cell = nullptr;
+    obs::Counter* cache_invalidations_cell = nullptr;
+    std::uint64_t published_lookups = 0;
+    std::uint64_t published_hits = 0;
+    std::uint64_t published_invalidations = 0;
   };
+  // Queues, threads and their cells at shards > 1 (pipeline.cc).
+  struct Threads;
 
-  void RunShard(Shard& shard, std::size_t shard_id);
+  void ShardStep(Shard& shard, const syslog::SyslogRecord& rec,
+                 std::size_t seq, std::uint32_t router_key,
+                 bool router_known, ShardOutput* out);
+  void MergeStep(const ShardOutput& out);
+  void Deliver(std::vector<core::DigestEvent> events);
+  void RunShard(std::size_t shard_id);
   void RunMerge();
   void FlushBatches();
+  // Closes the queues and joins the threads (no-op inline or when done).
+  void JoinThreads();
 
-  core::KnowledgeBase* kb_;
   const core::LocationDict* dict_;
   PipelineOptions options_;
   ConcurrentTemplateMatcher matcher_;
   core::RouterResolver resolver_;
+  // Stateless and const, so every shard shares it.
+  const core::LocationExtractor extractor_;
   GroupTracker tracker_;
-  // Merge-thread stage (hoisted so checkpoints can reach it).
   CrossRouterStage cross_;
-
   std::vector<std::unique_ptr<Shard>> shards_;
-  // Shard id of every sequence number, in batches, in ingest order: the
-  // merge thread's replay schedule.
-  BoundedQueue<std::vector<std::uint32_t>> order_;
-  std::thread merge_thread_;
 
-  // Ingest-side pending batches (flushed every batch_size records).
-  std::vector<std::vector<ShardInput>> pending_in_;
-  std::vector<std::uint32_t> pending_order_;
-  std::size_t seq_ = 0;
+  std::size_t seq_ = 0;              // records pushed
+  ShardOutput inline_out_;           // reused shard-step scratch inline
+  std::vector<MergeEdge> cross_edges_;
+  obs::Counter* merged_cell_ = nullptr;
 
-  // Quiesce rendezvous: the merge thread publishes how many records it
-  // has replayed; Quiesce() waits for it to catch up with seq_.
-  std::mutex quiesce_mutex_;
-  std::condition_variable quiesce_cv_;
-  std::size_t merged_count_ = 0;
-
-  // Merge-thread state, read by Finish() only after the join.
+  // Merge-step state, read by Finish() only after any join.
   std::vector<core::DigestEvent> collected_;
   EventSink sink_;
   bool finished_ = false;
+
+  // Last, after everything its threads use.  Null inline and after
+  // Finish.
+  std::unique_ptr<Threads> threads_;
 };
 
 }  // namespace sld::pipeline

@@ -1,11 +1,9 @@
 // Canonical serialization of the stage-graph state (DESIGN.md §14).
 //
-// Both drivers over the stage graph — the single-threaded
-// StreamingDigester and the ShardedPipeline — write their stage state
-// through these helpers, in the same order and sorted the same way, so
-// a snapshot taken at N shards restores bit-identically at M shards
-// (state is re-partitioned by router key at import, exactly how Push
-// deals records to shards).
+// ShardedPipeline writes its stage state through these helpers, merged
+// across shards and sorted, so a snapshot taken at N shards restores
+// bit-identically at M shards (state is re-partitioned by router key at
+// import, exactly how Push deals records to shards).
 #pragma once
 
 #include <algorithm>

@@ -1,18 +1,19 @@
-// GroupTracker: the sequenced merge stage's bookkeeping.
+// GroupTracker: the sequenced merge step's bookkeeping.
 //
 // One union-find over the open messages receives every merge edge the
-// stages emit (temporal + rule edges from the shards, cross-router edges
-// from the merge thread itself), so the final partition is bit-identical
-// to the single-threaded digesters no matter how the per-router work was
-// sharded.  The tracker also owns the streaming lifecycle: per-group
-// first/last activity clocks, the periodic idle sweep that closes groups
-// no further message could join, the max-age force close that bounds
-// latency and memory for never-ending periodic trains, and arena
-// compaction once closed messages dominate.
+// stages emit (temporal + rule edges from the shard step, cross-router
+// edges from the merge step itself), so the final partition is
+// bit-identical at every shard count of pipeline::ShardedPipeline.  The
+// tracker also owns the streaming lifecycle: per-group first/last
+// activity clocks, the idle sweep that closes groups no further message
+// could join (run only when a message follows a stream gap of 30 s or
+// more), the max-age force close that bounds latency and memory for
+// never-ending periodic trains, and arena compaction once closed
+// messages dominate.
 //
 // Messages are addressed by their sequence number (raw index); an edge
-// whose endpoint has already been emitted is skipped — the same "chain
-// tail already closed" guard the seed StreamingDigester applied.
+// whose endpoint has already been emitted is skipped — its chain tail
+// closed under a short idle horizon.
 #pragma once
 
 #include <cstdint>

@@ -90,11 +90,9 @@ EngineOptions DurableOptions(std::size_t shards) {
   return opts;
 }
 
-// Copies `src`'s snapshot + event log into `dst` — the crash image.  An
-// in-process engine cannot simply be abandoned to simulate SIGKILL: its
-// destructor joins the pipeline, which closes every open group and logs
-// the final flush.  The on-disk state *before* destruction is exactly
-// what a kill would leave, so we photograph it first.
+// Copies `src`'s snapshot + event log into `dst` — the crash image: the
+// on-disk state a kill at this point would leave behind, photographed
+// while the engine is still running.
 void CopyCrashImage(const std::string& src, const std::string& dst) {
   namespace fs = std::filesystem;
   fs::create_directories(dst);
@@ -214,6 +212,73 @@ INSTANTIATE_TEST_SUITE_P(
                       // shard count than the crash side ran.
                       std::make_tuple(std::size_t{4}, std::size_t{1}),
                       std::make_tuple(std::size_t{1}, std::size_t{16})));
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// An engine destroyed without Finish() stops like a crash.  A durable
+// one must not flush its open groups into the event log: those early
+// closes would take seqs that the post-restore resend then suppresses as
+// already logged, so the log would keep truncated events.  Two lives are
+// abandoned with groups open, each in its own dir — one that
+// checkpointed at its log tip, and one that only restored a copy of that
+// snapshot (a serve that fails to bind after restoring) — and each log
+// must be byte-identical after its engine is gone; the copy must then
+// match the uninterrupted run after a full resend.
+class CkptAbandon : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(CkptAbandon, UnfinishedEngineLeavesLogIntact) {
+  const std::size_t shards = GetParam();
+  World& w = SharedWorld();
+  TempDir golden_dir;
+  TempDir dir;
+  TempDir image_dir;
+  const auto golden = RunGolden(w, /*shards=*/1, golden_dir.str());
+  std::string logged;
+  {
+    core::KnowledgeBase kb = CloneKb(w.kb);
+    Engine eng(&kb, &w.dict, DurableOptions(shards));
+    std::string error;
+    ASSERT_TRUE(eng.OpenDurable(dir.str(), &error)) << error;
+    for (std::size_t i = 0; i < w.live.messages.size() / 5; ++i) {
+      eng.IngestRecord(w.live.messages[i]);
+      eng.Pump();
+    }
+    ASSERT_TRUE(eng.Checkpoint(&error)) << error;
+    ASSERT_GT(eng.open_group_count(), 0u);
+    logged = ReadBytes(dir.str() + "/events.log");
+    ASSERT_FALSE(logged.empty());
+    CopyCrashImage(dir.str(), image_dir.str());
+  }
+  // Compared as a bool: a mismatch would otherwise print the binary log.
+  EXPECT_TRUE(ReadBytes(dir.str() + "/events.log") == logged)
+      << "the checkpointing life";
+  {
+    core::KnowledgeBase kb = CloneKb(w.kb);
+    Engine eng(&kb, &w.dict, DurableOptions(shards));
+    std::string error;
+    ASSERT_TRUE(eng.OpenDurable(image_dir.str(), &error)) << error;
+    ASSERT_GT(eng.open_group_count(), 0u);
+  }
+  EXPECT_TRUE(ReadBytes(image_dir.str() + "/events.log") == logged)
+      << "the restoring life";
+  core::KnowledgeBase kb = CloneKb(w.kb);
+  Engine eng(&kb, &w.dict, DurableOptions(shards));
+  std::string error;
+  ASSERT_TRUE(eng.OpenDurable(image_dir.str(), &error)) << error;
+  for (const auto& rec : w.live.messages) {
+    eng.IngestRecord(rec);
+    eng.Pump();
+  }
+  eng.Finish();
+  EXPECT_EQ(DumpLog(image_dir.str()), golden);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, CkptAbandon,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}));
 
 // A checkpoint taken after a clean Finish restores to a drained engine:
 // nothing open, the replay cursor at the full event count, and a

@@ -1,7 +1,8 @@
-// The deployment topology as threads: a UDP receiver thread decodes and
-// orders datagrams through a Collector into a BoundedQueue; a digester
-// thread drains the queue into a StreamingDigester.  End-to-end over real
-// loopback sockets.
+// The deployment topology as threads: shard workers plus a merge thread
+// against the inline one-shard form of the same driver, and a UDP
+// receiver thread that decodes and orders datagrams through a Collector
+// into a BoundedQueue drained by a digester thread.  End-to-end over
+// real loopback sockets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +16,6 @@
 
 #include "common/bounded_queue.h"
 #include "core/learn.h"
-#include "core/stream.h"
 #include "net/config_parser.h"
 #include "obs/registry.h"
 #include "pipeline/pipeline.h"
@@ -71,39 +71,32 @@ TEST(ThreadedPipelineTest, ShardedMatchesSingleThreadedDigest) {
   ASSERT_GT(expected.events.size(), 0u);
 
   for (const std::size_t shards : {1u, 4u, 16u}) {
-    // The match memo cache must be invisible in the results: run the
-    // 4-shard configuration both ways, the rest with the default (on).
-    for (const bool use_cache : (shards == 4u ? std::vector<bool>{true, false}
-                                              : std::vector<bool>{true})) {
-      pipeline::PipelineOptions opts;
-      opts.shards = shards;
-      opts.use_match_cache = use_cache;
-      // Exercise the queue seams: many small batches instead of a few big
-      // ones.
-      opts.batch_size = 64;
-      pipeline::ShardedPipeline p(&kb, &dict, opts);
-      for (const auto& rec : live.messages) p.Push(rec);
-      const DigestResult got = p.Finish();
+    pipeline::PipelineOptions opts;
+    opts.shards = shards;
+    // Exercise the queue seams: many small batches instead of a few big
+    // ones.
+    opts.batch_size = 64;
+    pipeline::ShardedPipeline p(&kb, &dict, opts);
+    for (const auto& rec : live.messages) p.Push(rec);
+    const DigestResult got = p.Finish();
 
-      SCOPED_TRACE(testing::Message() << shards << " shard(s), cache "
-                                      << (use_cache ? "on" : "off"));
-      EXPECT_EQ(got.message_count, live.messages.size());
-      EXPECT_EQ(Partition(got.events), Partition(expected.events));
-      const auto want_scores = Scores(expected.events);
-      const auto got_scores = Scores(got.events);
-      ASSERT_EQ(got_scores.size(), want_scores.size());
-      for (const auto& [members, score] : want_scores) {
-        const auto it = got_scores.find(members);
-        ASSERT_NE(it, got_scores.end());
-        EXPECT_DOUBLE_EQ(it->second, score);
-      }
+    SCOPED_TRACE(testing::Message() << shards << " shard(s)");
+    EXPECT_EQ(got.message_count, live.messages.size());
+    EXPECT_EQ(Partition(got.events), Partition(expected.events));
+    const auto want_scores = Scores(expected.events);
+    const auto got_scores = Scores(got.events);
+    ASSERT_EQ(got_scores.size(), want_scores.size());
+    for (const auto& [members, score] : want_scores) {
+      const auto it = got_scores.find(members);
+      ASSERT_NE(it, got_scores.end());
+      EXPECT_DOUBLE_EQ(it->second, score);
     }
   }
 }
 
 // Streaming form: a finite idle horizon, events delivered through the
-// sink as they close, same partition as the single-threaded
-// StreamingDigester with the same horizon.
+// sink as they close, same partition as the inline one-shard pipeline
+// with the same horizon.
 TEST(ThreadedPipelineTest, ShardedStreamingMatchesStreamingDigester) {
   sim::DatasetSpec spec = sim::DatasetASpec();
   spec.topo.num_routers = 8;
@@ -117,21 +110,22 @@ TEST(ThreadedPipelineTest, ShardedStreamingMatchesStreamingDigester) {
   OfflineLearner learner;
   KnowledgeBase kb = learner.Learn(history.messages, dict);
 
-  const TimeMs idle_close = 600 * kMsPerSecond;
-  StreamingDigester stream(&kb, &dict, DigestOptions{}, idle_close);
+  pipeline::PipelineOptions opts;
+  opts.idle_close_ms = 600 * kMsPerSecond;
+  // The engine's default, so force-closes happen too.
+  opts.max_group_age_ms = 24 * kMsPerHour;
   std::vector<DigestEvent> expected;
-  for (const auto& rec : live.messages) {
-    for (auto& ev : stream.Push(rec)) expected.push_back(std::move(ev));
+  {
+    pipeline::ShardedPipeline inline_pipeline(&kb, &dict, opts);
+    inline_pipeline.SetEventSink(
+        [&expected](DigestEvent ev) { expected.push_back(std::move(ev)); });
+    for (const auto& rec : live.messages) inline_pipeline.Push(rec);
+    inline_pipeline.Finish();
   }
-  for (auto& ev : stream.Flush()) expected.push_back(std::move(ev));
   ASSERT_GT(expected.size(), 0u);
 
   obs::Registry metrics;
-  pipeline::PipelineOptions opts;
   opts.shards = 4;
-  opts.idle_close_ms = idle_close;
-  // Match the StreamingDigester default so force-closes line up too.
-  opts.max_group_age_ms = 24 * kMsPerHour;
   // Bind metrics so the instrumented shard/merge paths run under TSan.
   opts.metrics = &metrics;
   pipeline::ShardedPipeline p(&kb, &dict, opts);
@@ -225,16 +219,21 @@ TEST(ThreadedPipelineTest, UdpToQueueToStreamingDigester) {
     queue.Close();
   });
 
-  // Digester thread: queue -> streaming digester.
+  // Digester thread: queue -> one-shard pipeline at the engine's default
+  // horizons, events counted as they close.
   std::size_t events = 0;
   std::size_t digested = 0;
   std::thread digest_thread([&] {
-    StreamingDigester digester(&kb, &dict);
+    pipeline::PipelineOptions opts;
+    opts.idle_close_ms = kb.temporal_params.smax + kb.rule_params.window_ms;
+    opts.max_group_age_ms = 24 * kMsPerHour;
+    pipeline::ShardedPipeline digester(&kb, &dict, opts);
+    digester.SetEventSink([&events](DigestEvent) { ++events; });
     while (auto rec = queue.Pop()) {
       ++digested;
-      events += digester.Push(*rec).size();
+      digester.Push(*rec);
     }
-    events += digester.Flush().size();
+    digester.Finish();
   });
 
   // Main thread plays the routers under window flow control.

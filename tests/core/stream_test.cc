@@ -1,13 +1,16 @@
-#include "core/stream.h"
-
+// Streaming semantics of the digest driver: pipeline::ShardedPipeline at
+// one shard, where the stage graph runs inline and every event a record
+// closes reaches the sink before Push() returns.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "core/learn.h"
 #include "net/config_parser.h"
+#include "pipeline/pipeline.h"
 #include "sim/generator.h"
 
 namespace sld::core {
@@ -39,6 +42,47 @@ Ctx& Shared() {
   return ctx;
 }
 
+// The engine's default idle horizon (EngineOptions::idle_close_ms = 0):
+// S_max plus the rule window W.
+TimeMs DefaultHorizon(const KnowledgeBase& kb) {
+  return kb.temporal_params.smax + kb.rule_params.window_ms;
+}
+
+// The one-shard pipeline with a collecting sink.  Push() hands back the
+// events that record closed; Flush() finishes the stream.
+class Stream {
+  // Declared before the pipeline, whose sink writes into it.
+  std::vector<DigestEvent> closed_;
+
+ public:
+  Stream(Ctx& ctx, TimeMs idle_close_ms,
+         TimeMs max_group_age_ms = 24 * kMsPerHour)
+      : pipe(&ctx.kb, &ctx.dict, Options(idle_close_ms, max_group_age_ms)) {
+    pipe.SetEventSink(
+        [this](DigestEvent ev) { closed_.push_back(std::move(ev)); });
+  }
+
+  std::vector<DigestEvent> Push(const syslog::SyslogRecord& rec) {
+    pipe.Push(rec);
+    return std::exchange(closed_, {});
+  }
+  std::vector<DigestEvent> Flush() {
+    pipe.Finish();
+    return std::exchange(closed_, {});
+  }
+
+  pipeline::ShardedPipeline pipe;
+
+ private:
+  static pipeline::PipelineOptions Options(TimeMs idle_close_ms,
+                                           TimeMs max_group_age_ms) {
+    pipeline::PipelineOptions opts;
+    opts.idle_close_ms = idle_close_ms;
+    opts.max_group_age_ms = max_group_age_ms;
+    return opts;
+  }
+};
+
 // Canonical form of a partition: sorted list of sorted message-index sets.
 std::set<std::vector<std::size_t>> Partition(
     std::vector<DigestEvent> events) {
@@ -55,9 +99,8 @@ TEST(StreamTest, MatchesBatchPartitionWithUnboundedHorizon) {
   Digester batch(&ctx.kb, &ctx.dict);
   const DigestResult expected = batch.Digest(ctx.live.messages);
 
-  StreamingDigester stream(&ctx.kb, &ctx.dict, DigestOptions{},
-                           /*idle_close_ms=*/INT64_MAX / 4,
-                           /*max_group_age_ms=*/INT64_MAX / 4);
+  Stream stream(ctx, /*idle_close_ms=*/INT64_MAX / 4,
+                /*max_group_age_ms=*/INT64_MAX / 4);
   std::vector<DigestEvent> events;
   for (const auto& rec : ctx.live.messages) {
     for (auto& ev : stream.Push(rec)) events.push_back(std::move(ev));
@@ -75,9 +118,8 @@ TEST(StreamTest, DefaultHorizonMatchesBatchOnThisWorkload) {
   Digester batch(&ctx.kb, &ctx.dict);
   const DigestResult expected = batch.Digest(ctx.live.messages);
 
-  StreamingDigester stream(&ctx.kb, &ctx.dict, DigestOptions{},
-                           /*idle_close_ms=*/0,
-                           /*max_group_age_ms=*/INT64_MAX / 4);
+  Stream stream(ctx, DefaultHorizon(ctx.kb),
+                /*max_group_age_ms=*/INT64_MAX / 4);
   std::size_t streamed_events = 0;
   std::size_t streamed_msgs = 0;
   for (const auto& rec : ctx.live.messages) {
@@ -96,8 +138,7 @@ TEST(StreamTest, DefaultHorizonMatchesBatchOnThisWorkload) {
 
 TEST(StreamTest, EventsCloseAfterIdleHorizon) {
   Ctx& ctx = Shared();
-  StreamingDigester stream(&ctx.kb, &ctx.dict, DigestOptions{},
-                           /*idle_close_ms=*/5 * kMsPerMinute);
+  Stream stream(ctx, /*idle_close_ms=*/5 * kMsPerMinute);
   syslog::SyslogRecord rec = ctx.live.messages.front();
   EXPECT_TRUE(stream.Push(rec).empty());
   // Ten minutes of silence, then an unrelated message: the first group
@@ -109,14 +150,13 @@ TEST(StreamTest, EventsCloseAfterIdleHorizon) {
   const auto closed = stream.Push(later);
   ASSERT_EQ(closed.size(), 1u);
   EXPECT_EQ(closed[0].messages.size(), 1u);
-  EXPECT_EQ(stream.open_group_count(), 1u);
+  EXPECT_EQ(stream.pipe.open_group_count(), 1u);
 }
 
 TEST(StreamTest, MemoryStaysBoundedOverLongStreams) {
   Ctx& ctx = Shared();
-  StreamingDigester stream(&ctx.kb, &ctx.dict, DigestOptions{},
-                           /*idle_close_ms=*/10 * kMsPerMinute,
-                           /*max_group_age_ms=*/kMsPerHour);
+  Stream stream(ctx, /*idle_close_ms=*/10 * kMsPerMinute,
+                /*max_group_age_ms=*/kMsPerHour);
   // One message per minute for a simulated week — a never-ending periodic
   // train.  The max-age bound chops it into hourly events, keeping open
   // state far below the input size.
@@ -128,34 +168,33 @@ TEST(StreamTest, MemoryStaysBoundedOverLongStreams) {
     emitted += stream.Push(rec).size();
   }
 
-  EXPECT_LT(stream.open_message_count(), 200u);
+  EXPECT_LT(stream.pipe.open_message_count(), 200u);
   EXPECT_GT(emitted, 100u);
-  EXPECT_LT(stream.open_group_count(), 100u);
-  EXPECT_EQ(stream.processed_count(), 7u * 24 * 60);
+  EXPECT_LT(stream.pipe.open_group_count(), 100u);
+  EXPECT_EQ(stream.pipe.Finish().message_count, 7u * 24 * 60);
 }
 
 TEST(StreamTest, FlushIsIdempotent) {
   Ctx& ctx = Shared();
-  StreamingDigester stream(&ctx.kb, &ctx.dict);
+  Stream stream(ctx, DefaultHorizon(ctx.kb));
   stream.Push(ctx.live.messages.front());
   EXPECT_EQ(stream.Flush().size(), 1u);
   EXPECT_TRUE(stream.Flush().empty());
-  EXPECT_EQ(stream.open_group_count(), 0u);
+  EXPECT_EQ(stream.pipe.open_group_count(), 0u);
 }
 
 TEST(StreamTest, ActiveRulesTracked) {
   Ctx& ctx = Shared();
-  StreamingDigester stream(&ctx.kb, &ctx.dict);
+  Stream stream(ctx, DefaultHorizon(ctx.kb));
   for (const auto& rec : ctx.live.messages) stream.Push(rec);
-  stream.Flush();
-  EXPECT_GT(stream.active_rule_count(), 0u);
-  EXPECT_LE(stream.active_rule_count(), ctx.kb.rules.size());
+  const DigestResult result = stream.pipe.Finish();
+  EXPECT_GT(result.active_rule_count, 0u);
+  EXPECT_LE(result.active_rule_count, ctx.kb.rules.size());
 }
 
 TEST(StreamTest, ClosedEventsAreTimeOrderedWithinSweep) {
   Ctx& ctx = Shared();
-  StreamingDigester stream(&ctx.kb, &ctx.dict, DigestOptions{},
-                           /*idle_close_ms=*/kMsPerMinute);
+  Stream stream(ctx, /*idle_close_ms=*/kMsPerMinute);
   std::vector<DigestEvent> events;
   for (const auto& rec : ctx.live.messages) {
     auto closed = stream.Push(rec);

@@ -1,13 +1,16 @@
 // Unit tests for the pipeline subsystem: GroupTracker lifecycle (idle
 // close, edge-to-closed-message skip, flush) and ShardedPipeline edge
 // cases the equivalence test in core/pipeline_threads_test.cc does not
-// reach (unknown routers, empty stream, more shards than routers).
+// reach (unknown routers, empty stream, more shards than routers, the
+// thread-free one-shard form).
 #include "pipeline/pipeline.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "core/augment.h"
@@ -254,6 +257,46 @@ TEST(ShardedPipelineTest, MoreShardsThanRoutersStillExact) {
     return out;
   };
   EXPECT_EQ(canon(got.events), canon(expected.events));
+}
+
+// Threads of this process right now.
+std::size_t ThreadCount() {
+  std::size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    static_cast<void>(task);
+    ++n;
+  }
+  return n;
+}
+
+// One shard runs the stage graph inline: no digest thread starts, and
+// each event reaches the sink on the pushing thread.
+TEST(ShardedPipelineTest, OneShardStartsNoThreads) {
+  Ctx& ctx = Shared();
+  const std::size_t before = ThreadCount();
+  PipelineOptions opts;
+  opts.idle_close_ms = kMsPerMinute;  // events close mid-stream
+  ShardedPipeline p(&ctx.kb, &ctx.dict, opts);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t delivered = 0;
+  std::size_t off_thread = 0;
+  p.SetEventSink([&](core::DigestEvent) {
+    ++delivered;
+    if (std::this_thread::get_id() != caller) ++off_thread;
+  });
+  for (const auto& rec : ctx.live.messages) p.Push(rec);
+  EXPECT_EQ(ThreadCount(), before);
+  EXPECT_GT(delivered, 0u);  // delivered inside Push, before Finish
+  const core::DigestResult result = p.Finish();
+  EXPECT_EQ(result.message_count, ctx.live.messages.size());
+  EXPECT_EQ(off_thread, 0u);
+  EXPECT_EQ(ThreadCount(), before);
+
+  // The same count sees the threaded form's workers and merge thread.
+  opts.shards = 4;
+  ShardedPipeline threaded(&ctx.kb, &ctx.dict, opts);
+  EXPECT_EQ(ThreadCount(), before + 5);
 }
 
 }  // namespace

@@ -631,8 +631,9 @@ void Usage() {
       "  --ingest-threads N reads archives with N parse workers "
       "(learn/digest/\n"
       "    stream/replay; N=0: one per core; same records at any N)\n"
-      "  --threads / --shards N digests with N shard workers (same events "
-      "at any N)\n"
+      "  --threads / --shards N digests with N shard workers (N=1 runs "
+      "inline;\n"
+      "    same events at any N)\n"
       "  --simd scalar|sse2|avx2|native pins the byte-kernel dispatch "
       "level\n"
       "    (default: autodetect; env SLD_SIMD sets the default; output is\n"
