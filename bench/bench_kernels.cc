@@ -1,9 +1,9 @@
-// Byte-kernel microbench: GB/s per kernel per SIMD dispatch level
-// (common/simd.h), with in-process scalar agreement verified on the full
+// Byte-kernel microbench: GB/s of each SSE2 kernel (common/simd.h) and of
+// its scalar oracle, with in-process agreement verified on the full
 // corpus every run and a steady-state allocation audit.  Written to
 // BENCH_kernels.json and gated in CI by tools/bench_gate.py (kind
-// "kernels"): agreement and the zero-alloc audit always; avx2-vs-scalar
-// speedup floors only when the running host reports AVX2.
+// "kernels"): agreement and the zero-alloc audit always; sse2-vs-scalar
+// speedup floors when the build has the SSE2 kernels.
 //
 //   bench_kernels                     # defaults: ~8 MiB corpus, 5 reps
 //   bench_kernels --mb 2 --reps 3     # CI smoke
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common.h"
-#include "common/hash.h"
 #include "common/simd.h"
 
 using namespace sld;
@@ -51,17 +50,34 @@ std::string JsonArray(const std::vector<double>& v) {
   return out;
 }
 
+// One kernel set: the scalar oracles or the SSE2 bodies.
+struct KernelSet {
+  const char* level;
+  std::size_t (*find_byte)(const char*, std::size_t, std::size_t,
+                           char) noexcept;
+  void (*split_whitespace)(std::string_view, std::vector<std::string_view>*);
+  bool (*equal_date10)(const char*, const char*) noexcept;
+};
+
+// Scalar first: it is the oracle and the speedup denominator.  The last
+// entry is the set the library runs.
+constexpr KernelSet kSets[] = {
+    {"scalar", simd::FindByteScalar, simd::SplitWhitespaceScalar,
+     simd::EqualDate10Scalar},
+#if defined(__SSE2__)
+    {"sse2", simd::FindByteSse2, simd::SplitWhitespaceSse2,
+     simd::EqualDate10Sse2},
+#endif
+};
+
 // Deterministic syslog-shaped corpus: newline-terminated lines of short
 // space/tab-separated tokens (the byte distribution the kernels actually
-// see), plus focused inputs for the fixed-width kernels.
+// see), plus date pairs for the fixed-width compare.
 struct Corpus {
   std::string lines;                       // find_newline input
-  std::vector<std::string> details;        // split/hash input
+  std::vector<std::string> details;        // split_whitespace input
   std::size_t detail_bytes = 0;
-  std::vector<std::string> digit_fields;   // validate_digits input
-  std::size_t digit_bytes = 0;
   std::vector<std::array<char, 16>> dates; // equal_date10 pairs (i, i+1)
-  std::vector<std::array<char, 8>> clocks; // parse_clock8 input
 };
 
 Corpus BuildCorpus(std::size_t target_bytes) {
@@ -86,18 +102,6 @@ Corpus BuildCorpus(std::size_t target_bytes) {
     c.detail_bytes += detail.size();
     c.details.push_back(detail);
   }
-  // Digit fields: mostly pure digits (lengths 1..19), every 8th with one
-  // corrupt byte so the early-exit path is timed too.
-  for (int i = 0; i < 4096; ++i) {
-    std::string field;
-    const int len = 1 + static_cast<int>(rng() % 19);
-    for (int j = 0; j < len; ++j) {
-      field += static_cast<char>('0' + rng() % 10);
-    }
-    if (i % 8 == 0) field[rng() % field.size()] = 'x';
-    c.digit_bytes += field.size();
-    c.digit_fields.push_back(std::move(field));
-  }
   // Date pairs: compare (i, i+1); runs of equal dates with a mismatch
   // roughly every 16 entries (the archive-scan hit pattern).
   std::array<char, 16> date{};
@@ -106,23 +110,12 @@ Corpus BuildCorpus(std::size_t target_bytes) {
     if (rng() % 16 == 0) date[8] = static_cast<char>('0' + rng() % 10);
     c.dates.push_back(date);
   }
-  // Clocks: valid shapes with a malformed byte every 32nd entry.
-  for (int i = 0; i < 4096; ++i) {
-    char buf[9];
-    std::snprintf(buf, sizeof(buf), "%02d:%02d:%02d",
-                  static_cast<int>(rng() % 24), static_cast<int>(rng() % 60),
-                  static_cast<int>(rng() % 60));
-    std::array<char, 8> clock;
-    std::memcpy(clock.data(), buf, 8);
-    if (i % 32 == 0) clock[rng() % 8] = 'x';
-    c.clocks.push_back(clock);
-  }
   return c;
 }
 
 // One timed pass per kernel.  Each returns a checksum (defeats dead-code
 // elimination) and sets `bytes` to the volume processed.
-std::uint64_t RunFindNewline(const simd::KernelTable& t, const Corpus& c,
+std::uint64_t RunFindNewline(const KernelSet& t, const Corpus& c,
                              std::size_t& bytes) {
   const char* data = c.lines.data();
   const std::size_t n = c.lines.size();
@@ -137,7 +130,7 @@ std::uint64_t RunFindNewline(const simd::KernelTable& t, const Corpus& c,
   return sum;
 }
 
-std::uint64_t RunSplitWhitespace(const simd::KernelTable& t, const Corpus& c,
+std::uint64_t RunSplitWhitespace(const KernelSet& t, const Corpus& c,
                                  std::vector<std::string_view>& scratch,
                                  std::size_t& bytes) {
   std::uint64_t sum = 0;
@@ -150,27 +143,7 @@ std::uint64_t RunSplitWhitespace(const simd::KernelTable& t, const Corpus& c,
   return sum;
 }
 
-std::uint64_t RunHashBytes(const simd::KernelTable& t, const Corpus& c,
-                           std::size_t& bytes) {
-  std::uint64_t sum = 0;
-  for (const std::string& d : c.details) {
-    sum ^= t.hash_bytes(d.data(), d.size(), kFnv1aOffset);
-  }
-  bytes = c.detail_bytes;
-  return sum;
-}
-
-std::uint64_t RunValidateDigits(const simd::KernelTable& t, const Corpus& c,
-                                std::size_t& bytes) {
-  std::uint64_t sum = 0;
-  for (const std::string& f : c.digit_fields) {
-    sum += t.validate_digits(f.data(), f.size()) ? 1 : 0;
-  }
-  bytes = c.digit_bytes;
-  return sum;
-}
-
-std::uint64_t RunEqualDate10(const simd::KernelTable& t, const Corpus& c,
+std::uint64_t RunEqualDate10(const KernelSet& t, const Corpus& c,
                              std::size_t& bytes) {
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i + 1 < c.dates.size(); ++i) {
@@ -180,19 +153,8 @@ std::uint64_t RunEqualDate10(const simd::KernelTable& t, const Corpus& c,
   return sum;
 }
 
-std::uint64_t RunParseClock8(const simd::KernelTable& t, const Corpus& c,
-                             std::size_t& bytes) {
-  std::uint64_t sum = 0;
-  for (const std::array<char, 8>& clock : c.clocks) {
-    sum += static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(t.parse_clock8(clock.data())));
-  }
-  bytes = c.clocks.size() * 8;
-  return sum;
-}
-
 struct LevelResult {
-  simd::Level level;
+  const char* level;
   double gb_per_sec = 0;
   std::vector<double> reps;
 };
@@ -201,17 +163,6 @@ struct KernelResult {
   const char* name;
   std::vector<LevelResult> levels;
 };
-
-std::vector<simd::Level> HostLevels() {
-  std::vector<simd::Level> levels = {simd::Level::kScalar};
-  if (simd::Supported(simd::Level::kSse2)) {
-    levels.push_back(simd::Level::kSse2);
-  }
-  if (simd::Supported(simd::Level::kAvx2)) {
-    levels.push_back(simd::Level::kAvx2);
-  }
-  return levels;
-}
 
 }  // namespace
 
@@ -232,70 +183,58 @@ int main(int argc, char** argv) {
   if (mb < 1) mb = 1;
 
   bench::Header("kernels", "SIMD byte-kernel throughput",
-                "per-kernel GB/s at each dispatch level; every level "
-                "byte-identical to the scalar oracle");
+                "per-kernel GB/s of the SSE2 bodies and their scalar "
+                "oracles; SSE2 byte-identical to scalar");
 
   const Corpus corpus = BuildCorpus(mb << 20);
-  std::printf("corpus: %zu lines bytes, %zu details, %zu digit fields\n",
+  std::printf("corpus: %zu lines bytes, %zu details, %zu dates\n",
               corpus.lines.size(), corpus.details.size(),
-              corpus.digit_fields.size());
+              corpus.dates.size());
 
-  const std::vector<simd::Level> levels = HostLevels();
-  const simd::Level best = levels.back();
+  const KernelSet& best = std::end(kSets)[-1];
 
-  // Agreement: every kernel at every level must reproduce the scalar
-  // oracle's results on the full corpus (checksums compare everything the
-  // runners observe: positions, token counts/spans, hashes, verdicts).
+  // Agreement: every kernel set must reproduce the scalar oracle's
+  // results on the full corpus (checksums compare everything the runners
+  // observe: positions, token counts/spans, verdicts).
   bool identical = true;
   std::vector<std::string_view> scratch;
   {
-    const simd::KernelTable& oracle = simd::TableFor(simd::Level::kScalar);
+    const KernelSet& oracle = kSets[0];
     std::size_t bytes = 0;
     const std::uint64_t want_nl = RunFindNewline(oracle, corpus, bytes);
     const std::uint64_t want_split =
         RunSplitWhitespace(oracle, corpus, scratch, bytes);
-    const std::uint64_t want_hash = RunHashBytes(oracle, corpus, bytes);
-    const std::uint64_t want_digits =
-        RunValidateDigits(oracle, corpus, bytes);
     const std::uint64_t want_dates = RunEqualDate10(oracle, corpus, bytes);
-    const std::uint64_t want_clocks = RunParseClock8(oracle, corpus, bytes);
-    for (const simd::Level level : levels) {
-      const simd::KernelTable& t = simd::TableFor(level);
+    for (const KernelSet& t : kSets) {
       const bool ok =
           RunFindNewline(t, corpus, bytes) == want_nl &&
           RunSplitWhitespace(t, corpus, scratch, bytes) == want_split &&
-          RunHashBytes(t, corpus, bytes) == want_hash &&
-          RunValidateDigits(t, corpus, bytes) == want_digits &&
-          RunEqualDate10(t, corpus, bytes) == want_dates &&
-          RunParseClock8(t, corpus, bytes) == want_clocks;
+          RunEqualDate10(t, corpus, bytes) == want_dates;
       if (!ok) {
         identical = false;
         std::fprintf(stderr, "FAIL: %s kernels disagree with scalar\n",
-                     simd::LevelName(level));
+                     t.level);
       }
     }
   }
 
   // Steady-state allocation audit: with the scratch vector warmed, a full
-  // pass over every kernel at the best level must allocate nothing.
+  // pass over every kernel of the set the library runs must allocate
+  // nothing.
   std::uint64_t steady_allocs = 0;
   {
-    const simd::KernelTable& t = simd::TableFor(best);
     std::size_t bytes = 0;
-    RunSplitWhitespace(t, corpus, scratch, bytes);  // warm scratch
+    RunSplitWhitespace(best, corpus, scratch, bytes);  // warm scratch
     const std::uint64_t before = bench::AllocationCount();
-    RunFindNewline(t, corpus, bytes);
-    RunSplitWhitespace(t, corpus, scratch, bytes);
-    RunHashBytes(t, corpus, bytes);
-    RunValidateDigits(t, corpus, bytes);
-    RunEqualDate10(t, corpus, bytes);
-    RunParseClock8(t, corpus, bytes);
+    RunFindNewline(best, corpus, bytes);
+    RunSplitWhitespace(best, corpus, scratch, bytes);
+    RunEqualDate10(best, corpus, bytes);
     steady_allocs = bench::AllocationCount() - before;
     std::printf("steady-state allocations over all kernels: %llu\n",
                 static_cast<unsigned long long>(steady_allocs));
   }
 
-  using Runner = std::uint64_t (*)(const simd::KernelTable&, const Corpus&,
+  using Runner = std::uint64_t (*)(const KernelSet&, const Corpus&,
                                    std::vector<std::string_view>&,
                                    std::size_t&);
   struct Spec {
@@ -305,34 +244,19 @@ int main(int argc, char** argv) {
   // Uniform runner signature (the scratch is unused by most kernels).
   static const Spec kSpecs[] = {
       {"find_newline",
-       [](const simd::KernelTable& t, const Corpus& c,
+       [](const KernelSet& t, const Corpus& c,
           std::vector<std::string_view>&, std::size_t& b) {
          return RunFindNewline(t, c, b);
        }},
       {"split_whitespace",
-       [](const simd::KernelTable& t, const Corpus& c,
+       [](const KernelSet& t, const Corpus& c,
           std::vector<std::string_view>& s, std::size_t& b) {
          return RunSplitWhitespace(t, c, s, b);
        }},
-      {"hash_bytes",
-       [](const simd::KernelTable& t, const Corpus& c,
-          std::vector<std::string_view>&, std::size_t& b) {
-         return RunHashBytes(t, c, b);
-       }},
-      {"validate_digits",
-       [](const simd::KernelTable& t, const Corpus& c,
-          std::vector<std::string_view>&, std::size_t& b) {
-         return RunValidateDigits(t, c, b);
-       }},
       {"equal_date10",
-       [](const simd::KernelTable& t, const Corpus& c,
+       [](const KernelSet& t, const Corpus& c,
           std::vector<std::string_view>&, std::size_t& b) {
          return RunEqualDate10(t, c, b);
-       }},
-      {"parse_clock8",
-       [](const simd::KernelTable& t, const Corpus& c,
-          std::vector<std::string_view>&, std::size_t& b) {
-         return RunParseClock8(t, c, b);
        }},
   };
 
@@ -341,10 +265,9 @@ int main(int argc, char** argv) {
   for (const Spec& spec : kSpecs) {
     KernelResult result;
     result.name = spec.name;
-    for (const simd::Level level : levels) {
-      const simd::KernelTable& t = simd::TableFor(level);
+    for (const KernelSet& t : kSets) {
       LevelResult lr;
-      lr.level = level;
+      lr.level = t.level;
       std::size_t bytes = 0;
       sink ^= spec.run(t, corpus, scratch, bytes);  // warm
       // Inner repeats so the short fixed-width corpora measure above
@@ -365,7 +288,7 @@ int main(int argc, char** argv) {
     const LevelResult& scalar = result.levels.front();
     std::printf("%-17s", spec.name);
     for (const LevelResult& lr : result.levels) {
-      std::printf("  %s %6.2f GB/s (%4.2fx)", simd::LevelName(lr.level),
+      std::printf("  %s %6.2f GB/s (%4.2fx)", lr.level,
                   lr.gb_per_sec, lr.gb_per_sec / scalar.gb_per_sec);
     }
     std::printf("\n");
@@ -375,7 +298,7 @@ int main(int argc, char** argv) {
   std::ofstream out(json);
   out << "{\n  \"benchmark\": \"kernels\",\n"
       << "  \"cpus\": " << std::thread::hardware_concurrency() << ",\n"
-      << "  \"best_level\": \"" << simd::LevelName(best) << "\",\n"
+      << "  \"best_level\": \"" << best.level << "\",\n"
       << "  \"reps\": " << reps << ",\n"
       << "  \"corpus_mb\": " << mb << ",\n"
       << "  \"identical\": " << (identical ? "true" : "false") << ",\n"
@@ -391,7 +314,7 @@ int main(int argc, char** argv) {
       std::snprintf(buf, sizeof(buf),
                     "%s{\"level\": \"%s\", \"gb_per_sec\": %.6g, "
                     "\"reps\": %s}",
-                    j == 0 ? "" : ", ", simd::LevelName(lr.level),
+                    j == 0 ? "" : ", ", lr.level,
                     lr.gb_per_sec, JsonArray(lr.reps).c_str());
       out << buf;
     }

@@ -1,7 +1,8 @@
 // Wire-front ingest cost (DESIGN.md §15): loopback datagrams/sec for the
-// batched backends against the seed's one-poll-one-recvfrom-one-string
-// path, plus a steady-state allocation audit and a cross-backend parity
-// check.  Written to BENCH_wire.json.
+// batched poll + recvmmsg front against the seed's
+// one-poll-one-recvfrom-one-string path, plus a steady-state allocation
+// audit and a byte-parity check between the two.  Written to
+// BENCH_wire.json.
 //
 // Method: prefill-drain cycles.  A burst of pre-encoded RFC 3164 frames
 // is blasted into the listener's kernel receive buffer while the
@@ -126,8 +127,8 @@ RepResult LegacyRep(syslog::UdpReceiver& receiver, syslog::UdpSender& sender,
 }
 
 // Byte-parity: every frame through `deliver_one` with retransmit-until-
-// delivered, so all backends see the identical in-order stream; returns
-// the delivered payload sequence.
+// delivered, so both receive paths see the identical in-order stream;
+// returns the delivered payload sequence.
 template <typename DeliverOne>
 std::vector<std::string> ParityStream(const std::vector<std::string>& frames,
                                       DeliverOne&& deliver_one) {
@@ -177,8 +178,7 @@ int main(int argc, char** argv) {
   if (listeners < 1) listeners = 1;
 
   bench::Header("wire", "UDP wire front: batched drain vs per-datagram poll",
-                "batched recvmmsg (and io_uring where supported) drains "
-                "loopback bursts >= 2x faster than the seed loop, with 0 "
+                "batched recvmmsg drains loopback bursts >= 2x faster than the seed loop, with 0 "
                 "allocs/datagram");
 
   // Realistic frames: one day of dataset A, pre-encoded.
@@ -197,12 +197,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  struct BackendResult {
-    std::string name;
-    std::vector<double> reps;
-    double allocs_per_datagram = 0;
-  };
-  std::vector<BackendResult> results;
   std::vector<double> legacy_reps;
 
   // Legacy comparator: the seed's one-datagram-per-poll loop.
@@ -224,49 +218,42 @@ int main(int argc, char** argv) {
                 Median(legacy_reps));
   }
 
-  // Wire-front backends: poll always, uring where this host supports it.
-  std::vector<wirefront::Backend> backends{wirefront::Backend::kPoll};
-  if (wirefront::UringSupported()) {
-    backends.push_back(wirefront::Backend::kUring);
-  }
-  for (const wirefront::Backend backend : backends) {
+  // The wire front.
+  std::vector<double> front_reps;
+  double allocs_per_datagram = 0;
+  {
     wirefront::WireOptions options;
-    options.backend = backend;
     options.listeners = listeners;
     options.rcvbuf_bytes = 8 * 1024 * 1024;
     std::string error;
     auto front =
         wirefront::WireFront::Open(options, {wirefront::TenantPort{}}, &error);
     if (front == nullptr) {
-      std::fprintf(stderr, "FAIL: wirefront open (%s): %s\n",
-                   wirefront::BackendName(backend), error.c_str());
+      std::fprintf(stderr, "FAIL: wirefront open: %s\n", error.c_str());
       return 1;
     }
     auto sender = syslog::UdpSender::Open("127.0.0.1", front->port_of(0));
-    BackendResult result;
-    result.name = wirefront::BackendName(backend);
     FrontRep(*front, *sender, frames, burst, burst);  // warm-up
     std::uint64_t audit_allocs = 0;
     std::size_t audit_delivered = 0;
     for (int r = 0; r < reps; ++r) {
       const RepResult rep = FrontRep(*front, *sender, frames, burst, target);
-      result.reps.push_back(static_cast<double>(rep.delivered) /
-                            rep.drain_seconds);
+      front_reps.push_back(static_cast<double>(rep.delivered) /
+                           rep.drain_seconds);
       audit_allocs += rep.allocs;
       audit_delivered += rep.delivered;
     }
-    result.allocs_per_datagram = static_cast<double>(audit_allocs) /
-                                 static_cast<double>(audit_delivered);
+    allocs_per_datagram = static_cast<double>(audit_allocs) /
+                          static_cast<double>(audit_delivered);
     std::printf("%-10s %12.0f datagrams/sec  %.2fx legacy  %.4f "
                 "allocs/datagram\n",
-                result.name.c_str(), Median(result.reps),
-                Median(result.reps) / Median(legacy_reps),
-                result.allocs_per_datagram);
-    results.push_back(std::move(result));
+                "poll", Median(front_reps),
+                Median(front_reps) / Median(legacy_reps),
+                allocs_per_datagram);
   }
 
-  // Parity: every backend must deliver the identical byte stream from
-  // the identical in-order send sequence.
+  // Parity: the front must deliver the identical byte stream from the
+  // identical in-order send sequence as the legacy loop.
   bool identical = true;
   {
     std::vector<std::string> parity(frames.begin(),
@@ -292,12 +279,10 @@ int main(int argc, char** argv) {
         }
       });
     }
-    for (const wirefront::Backend backend : backends) {
-      wirefront::WireOptions options;
-      options.backend = backend;
+    {
       std::string error;
       auto front = wirefront::WireFront::Open(
-          options, {wirefront::TenantPort{}}, &error);
+          wirefront::WireOptions{}, {wirefront::TenantPort{}}, &error);
       auto sender = syslog::UdpSender::Open("127.0.0.1", front->port_of(0));
       const std::vector<std::string> got = ParityStream(
           parity, [&](const std::string& frame,
@@ -314,10 +299,9 @@ int main(int argc, char** argv) {
       if (got != want) {
         identical = false;
         std::fprintf(stderr,
-                     "FAIL: backend %s delivered a different byte stream "
-                     "(%zu vs %zu frames)\n",
-                     wirefront::BackendName(backend), got.size(),
-                     want.size());
+                     "FAIL: the wire front delivered a different byte "
+                     "stream (%zu vs %zu frames)\n",
+                     got.size(), want.size());
       }
     }
     std::printf("parity over %zu unique frames: %s\n", parity.size(),
@@ -336,17 +320,13 @@ int main(int argc, char** argv) {
       << "  \"legacy_dgrams_per_sec\": " << Median(legacy_reps) << ",\n"
       << "  \"legacy_reps\": " << JsonArray(legacy_reps) << ",\n"
       << "  \"backends\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const BackendResult& r = results[i];
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g",
-                  Median(r.reps) / Median(legacy_reps));
-    out << "    {\"backend\": \"" << r.name << "\", \"dgrams_per_sec\": "
-        << Median(r.reps) << ",\n     \"speedup_vs_legacy\": " << buf
-        << ", \"allocs_per_datagram\": " << r.allocs_per_datagram
-        << ",\n     \"reps\": " << JsonArray(r.reps) << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
-  }
+  char speedup[64];
+  std::snprintf(speedup, sizeof(speedup), "%.6g",
+                Median(front_reps) / Median(legacy_reps));
+  out << "    {\"backend\": \"poll\", \"dgrams_per_sec\": "
+      << Median(front_reps) << ",\n     \"speedup_vs_legacy\": " << speedup
+      << ", \"allocs_per_datagram\": " << allocs_per_datagram
+      << ",\n     \"reps\": " << JsonArray(front_reps) << "}\n";
   out << "  ]\n}\n";
   std::printf("wrote %s\n", json.c_str());
   return identical ? 0 : 1;

@@ -11,8 +11,6 @@
 #include <cstring>
 #include <string_view>
 
-#include "common/simd.h"
-
 namespace sld {
 
 inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ull;
@@ -29,8 +27,7 @@ constexpr std::uint64_t Fnv1a64(std::string_view bytes,
   return h;
 }
 
-// Multiplier of the word-chunked hash; shared with the SIMD kernels so
-// every dispatch level computes the identical chain.
+// Multiplier of the word-chunked hash.
 inline constexpr std::uint64_t kHashMul = 0x9e3779b97f4a7c15ull;
 
 // Word-chunked multiply-xorshift hash, chainable through `seed`.  FNV's
@@ -38,12 +35,8 @@ inline constexpr std::uint64_t kHashMul = 0x9e3779b97f4a7c15ull;
 // 40-80 bytes, so the per-message memo key eats 8 bytes per step instead.
 // The length is folded into the seed, so concatenation ambiguity
 // ("ab"+"c" vs "a"+"bc") cannot collide across chained calls.
-//
-// This is the scalar oracle: the dispatched HashBytes below returns the
-// same 64-bit value at every SIMD level (serialized memo keys and bench
-// identities depend on that), which the differential kernel tests assert.
-inline std::uint64_t HashBytesScalar(
-    std::string_view bytes, std::uint64_t seed = kFnv1aOffset) noexcept {
+inline std::uint64_t HashBytes(std::string_view bytes,
+                               std::uint64_t seed = kFnv1aOffset) noexcept {
   std::uint64_t h =
       seed ^ (static_cast<std::uint64_t>(bytes.size()) * kHashMul);
   std::size_t i = 0;
@@ -60,12 +53,6 @@ inline std::uint64_t HashBytesScalar(
     h ^= h >> 29;
   }
   return h;
-}
-
-// Dispatched form used by the match memo key and everything else hot.
-inline std::uint64_t HashBytes(std::string_view bytes,
-                               std::uint64_t seed = kFnv1aOffset) noexcept {
-  return simd::HashBytes(bytes, seed);
 }
 
 }  // namespace sld

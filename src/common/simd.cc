@@ -1,25 +1,18 @@
 #include "common/simd.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 
-#include "common/hash.h"
-
-#if defined(__x86_64__) || defined(__i386__)
-#define SLD_SIMD_X86 1
-#include <immintrin.h>
-#else
-#define SLD_SIMD_X86 0
+#if defined(__SSE2__)
+#include <emmintrin.h>
 #endif
 
 namespace sld::simd {
-namespace {
 
 // ---- Scalar oracles ------------------------------------------------------
 //
-// These are the exact loops the kernels replace (strings.cc / hash.h /
-// time.cc); every vector variant below must agree with them byte for byte.
+// These are the exact loops the kernels replace (strings.cc / time.cc);
+// every SSE2 body below must agree with them byte for byte.
 
 std::size_t FindByteScalar(const char* data, std::size_t n, std::size_t from,
                            char byte) noexcept {
@@ -29,7 +22,9 @@ std::size_t FindByteScalar(const char* data, std::size_t n, std::size_t from,
   return n;
 }
 
+namespace {
 bool IsWs(char c) noexcept { return c == ' ' || c == '\t'; }
+}  // namespace
 
 void SplitWhitespaceScalar(std::string_view text,
                            std::vector<std::string_view>* out) {
@@ -43,112 +38,16 @@ void SplitWhitespaceScalar(std::string_view text,
   }
 }
 
-std::uint64_t HashBytesScalarKernel(const char* data, std::size_t n,
-                                    std::uint64_t seed) noexcept {
-  return HashBytesScalar(std::string_view(data, n), seed);
-}
-
-bool ValidateDigitsScalar(const char* data, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (data[i] < '0' || data[i] > '9') return false;
-  }
-  return true;
-}
-
 bool EqualDate10Scalar(const char* a, const char* b) noexcept {
   return std::memcmp(a, b, 10) == 0;
 }
 
-int ParseClock8Scalar(const char* p) noexcept {
-  const auto digit = [](char c) noexcept { return c >= '0' && c <= '9'; };
-  if (!digit(p[0]) || !digit(p[1]) || p[2] != ':' || !digit(p[3]) ||
-      !digit(p[4]) || p[5] != ':' || !digit(p[6]) || !digit(p[7])) {
-    return -1;
-  }
-  const int hour = (p[0] - '0') * 10 + (p[1] - '0');
-  const int minute = (p[3] - '0') * 10 + (p[4] - '0');
-  const int second = (p[6] - '0') * 10 + (p[7] - '0');
-  return (hour << 16) | (minute << 8) | second;
-}
+#if defined(__SSE2__)
 
-constexpr KernelTable kScalarTable = {
-    FindByteScalar,      SplitWhitespaceScalar, HashBytesScalarKernel,
-    ValidateDigitsScalar, EqualDate10Scalar,    ParseClock8Scalar,
-};
+namespace {
 
-#if SLD_SIMD_X86
-
-// ---- Shared SIMD helpers -------------------------------------------------
-
-// Wider-stride version of the scalar hash: the multiply-xorshift combine
-// chain is serially dependent, so the win is issuing four 8-byte loads per
-// iteration (out-of-order cores overlap them with the chain), not vector
-// arithmetic.  Performing the identical per-word steps in the identical
-// order keeps the value bit-equal to the scalar oracle for every input.
-std::uint64_t HashBytesWide(const char* data, std::size_t n,
-                            std::uint64_t seed) noexcept {
-  std::uint64_t h = seed ^ (static_cast<std::uint64_t>(n) * kHashMul);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    std::uint64_t w0, w1, w2, w3;
-    std::memcpy(&w0, data + i, 8);
-    std::memcpy(&w1, data + i + 8, 8);
-    std::memcpy(&w2, data + i + 16, 8);
-    std::memcpy(&w3, data + i + 24, 8);
-    h = (h ^ w0) * kHashMul;
-    h ^= h >> 29;
-    h = (h ^ w1) * kHashMul;
-    h ^= h >> 29;
-    h = (h ^ w2) * kHashMul;
-    h ^= h >> 29;
-    h = (h ^ w3) * kHashMul;
-    h ^= h >> 29;
-  }
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t w;
-    std::memcpy(&w, data + i, 8);
-    h = (h ^ w) * kHashMul;
-    h ^= h >> 29;
-  }
-  if (i < n) {
-    std::uint64_t w = 0;
-    std::memcpy(&w, data + i, n - i);
-    h = (h ^ w) * kHashMul;
-    h ^= h >> 29;
-  }
-  return h;
-}
-
-// Branch-reduced clock parse shared by the SSE2/AVX2 tables: eight bytes
-// is below vector break-even, but folding the eight shape checks into one
-// predicate removes seven hard-to-predict branches from the per-line path.
-int ParseClock8Swar(const char* p) noexcept {
-  const unsigned c0 = static_cast<unsigned char>(p[0]) - '0';
-  const unsigned c1 = static_cast<unsigned char>(p[1]) - '0';
-  const unsigned c3 = static_cast<unsigned char>(p[3]) - '0';
-  const unsigned c4 = static_cast<unsigned char>(p[4]) - '0';
-  const unsigned c6 = static_cast<unsigned char>(p[6]) - '0';
-  const unsigned c7 = static_cast<unsigned char>(p[7]) - '0';
-  const bool bad = (c0 > 9) | (c1 > 9) | (c3 > 9) | (c4 > 9) | (c6 > 9) |
-                   (c7 > 9) | (p[2] != ':') | (p[5] != ':');
-  if (bad) return -1;
-  return static_cast<int>(((c0 * 10 + c1) << 16) | ((c3 * 10 + c4) << 8) |
-                          (c6 * 10 + c7));
-}
-
-// Single 16-byte compare masked to the low 10 lanes.  SSE2 is baseline on
-// x86-64, so this serves both the SSE2 and AVX2 tables.  Requires 16
-// readable bytes behind both pointers (see simd.h).
-bool EqualDate10Sse2(const char* a, const char* b) noexcept {
-  const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a));
-  const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b));
-  const unsigned eq =
-      static_cast<unsigned>(_mm_movemask_epi8(_mm_cmpeq_epi8(va, vb)));
-  return (eq & 0x3FFu) == 0x3FFu;
-}
-
-// Token-emission driver shared by the chunked tokenizers.  `ws` has bit i
-// set when byte base+i is space/tab; bits at or above `len` are ignored.
+// Token emitter for the chunked tokenizer.  `ws` has bit i set when
+// byte base+i is space/tab; bits at or above `len` are ignored.
 // Walking set bits with ctz reproduces the scalar state machine exactly:
 // `in_token`/`start` carry across chunks, so tokens straddling chunk
 // boundaries come out as single spans.
@@ -158,30 +57,36 @@ struct SplitState {
 };
 
 inline void EmitChunkTokens(const char* data, std::size_t base,
-                            std::size_t len, std::uint64_t ws, SplitState& st,
+                            std::size_t len, std::uint32_t ws, SplitState& st,
                             std::vector<std::string_view>* out) {
-  const std::uint64_t valid =
-      len >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << len) - 1);
+  const std::uint32_t valid = (std::uint32_t{1} << len) - 1;
   std::size_t pos = 0;
   while (pos < len) {
-    const std::uint64_t from = ~std::uint64_t{0} << pos;
+    const std::uint32_t from = ~std::uint32_t{0} << pos;
     if (!st.in_token) {
-      const std::uint64_t cand = ~ws & valid & from;
+      const std::uint32_t cand = ~ws & valid & from;
       if (cand == 0) break;
-      pos = static_cast<std::size_t>(__builtin_ctzll(cand));
+      pos = static_cast<std::size_t>(__builtin_ctz(cand));
       st.in_token = true;
       st.start = base + pos;
     } else {
-      const std::uint64_t cand = ws & valid & from;
+      const std::uint32_t cand = ws & valid & from;
       if (cand == 0) break;
-      pos = static_cast<std::size_t>(__builtin_ctzll(cand));
+      pos = static_cast<std::size_t>(__builtin_ctz(cand));
       out->push_back(std::string_view(data + st.start, base + pos - st.start));
       st.in_token = false;
     }
   }
 }
 
-// ---- SSE2 kernels --------------------------------------------------------
+std::uint32_t WsMask(const char* p) noexcept {
+  const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  const __m128i ws = _mm_or_si128(_mm_cmpeq_epi8(v, _mm_set1_epi8(' ')),
+                                  _mm_cmpeq_epi8(v, _mm_set1_epi8('\t')));
+  return static_cast<std::uint32_t>(_mm_movemask_epi8(ws));
+}
+
+}  // namespace
 
 std::size_t FindByteSse2(const char* data, std::size_t n, std::size_t from,
                          char byte) noexcept {
@@ -197,17 +102,7 @@ std::size_t FindByteSse2(const char* data, std::size_t n, std::size_t from,
                      static_cast<unsigned>(mask)));
     }
   }
-  for (; i < n; ++i) {
-    if (data[i] == byte) return i;
-  }
-  return n;
-}
-
-std::uint32_t WsMaskSse2(const char* p) noexcept {
-  const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  const __m128i ws = _mm_or_si128(_mm_cmpeq_epi8(v, _mm_set1_epi8(' ')),
-                                  _mm_cmpeq_epi8(v, _mm_set1_epi8('\t')));
-  return static_cast<std::uint32_t>(_mm_movemask_epi8(ws));
+  return FindByteScalar(data, n, i, byte);
 }
 
 void SplitWhitespaceSse2(std::string_view text,
@@ -218,223 +113,29 @@ void SplitWhitespaceSse2(std::string_view text,
   SplitState st;
   std::size_t base = 0;
   for (; base + 16 <= n; base += 16) {
-    EmitChunkTokens(data, base, 16, WsMaskSse2(data + base), st, out);
+    EmitChunkTokens(data, base, 16, WsMask(data + base), st, out);
   }
   if (base < n) {
     // Stage the tail into a zeroed stack chunk: no overread, and the zero
     // padding sits past `len`, masked off inside EmitChunkTokens.
     char buf[16] = {};
     std::memcpy(buf, data + base, n - base);
-    EmitChunkTokens(data, base, n - base, WsMaskSse2(buf), st, out);
+    EmitChunkTokens(data, base, n - base, WsMask(buf), st, out);
   }
   if (st.in_token) {
     out->push_back(std::string_view(data + st.start, n - st.start));
   }
 }
 
-bool ValidateDigitsSse2(const char* data, std::size_t n) noexcept {
-  const __m128i zero_ch = _mm_set1_epi8('0');
-  const __m128i nine = _mm_set1_epi8(9);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
-    // (c - '0') as unsigned saturating-minus 9 is zero iff c is a digit.
-    const __m128i shifted = _mm_sub_epi8(v, zero_ch);
-    const __m128i over = _mm_subs_epu8(shifted, nine);
-    const int mask =
-        _mm_movemask_epi8(_mm_cmpeq_epi8(over, _mm_setzero_si128()));
-    if (mask != 0xFFFF) return false;
-  }
-  for (; i < n; ++i) {
-    if (data[i] < '0' || data[i] > '9') return false;
-  }
-  return true;
+// Single 16-byte compare masked to the low 10 lanes.
+bool EqualDate10Sse2(const char* a, const char* b) noexcept {
+  const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a));
+  const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b));
+  const unsigned eq =
+      static_cast<unsigned>(_mm_movemask_epi8(_mm_cmpeq_epi8(va, vb)));
+  return (eq & 0x3FFu) == 0x3FFu;
 }
 
-constexpr KernelTable kSse2Table = {
-    FindByteSse2,      SplitWhitespaceSse2, HashBytesWide,
-    ValidateDigitsSse2, EqualDate10Sse2,    ParseClock8Swar,
-};
-
-// ---- AVX2 kernels --------------------------------------------------------
-//
-// Compiled with per-function target attributes so this TU builds with the
-// project's baseline flags and the AVX2 code only ever executes after
-// __builtin_cpu_supports("avx2") said yes.
-
-__attribute__((target("avx2"))) std::size_t FindByteAvx2(
-    const char* data, std::size_t n, std::size_t from, char byte) noexcept {
-  if (from >= n) return n;
-  const __m256i needle = _mm256_set1_epi8(byte);
-  std::size_t i = from;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i));
-    const int mask = _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, needle));
-    if (mask != 0) {
-      return i + static_cast<std::size_t>(__builtin_ctz(
-                     static_cast<unsigned>(mask)));
-    }
-  }
-  return FindByteSse2(data, n, i, byte);
-}
-
-__attribute__((target("avx2"))) std::uint32_t WsMaskAvx2(
-    const char* p) noexcept {
-  const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  const __m256i ws =
-      _mm256_or_si256(_mm256_cmpeq_epi8(v, _mm256_set1_epi8(' ')),
-                      _mm256_cmpeq_epi8(v, _mm256_set1_epi8('\t')));
-  return static_cast<std::uint32_t>(_mm256_movemask_epi8(ws));
-}
-
-__attribute__((target("avx2"))) void SplitWhitespaceAvx2(
-    std::string_view text, std::vector<std::string_view>* out) {
-  out->clear();
-  const char* data = text.data();
-  const std::size_t n = text.size();
-  SplitState st;
-  std::size_t base = 0;
-  for (; base + 32 <= n; base += 32) {
-    EmitChunkTokens(data, base, 32, WsMaskAvx2(data + base), st, out);
-  }
-  if (base < n) {
-    char buf[32] = {};
-    std::memcpy(buf, data + base, n - base);
-    EmitChunkTokens(data, base, n - base, WsMaskAvx2(buf), st, out);
-  }
-  if (st.in_token) {
-    out->push_back(std::string_view(data + st.start, n - st.start));
-  }
-}
-
-__attribute__((target("avx2"))) bool ValidateDigitsAvx2(
-    const char* data, std::size_t n) noexcept {
-  const __m256i zero_ch = _mm256_set1_epi8('0');
-  const __m256i nine = _mm256_set1_epi8(9);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i));
-    const __m256i shifted = _mm256_sub_epi8(v, zero_ch);
-    const __m256i over = _mm256_subs_epu8(shifted, nine);
-    const int mask = _mm256_movemask_epi8(
-        _mm256_cmpeq_epi8(over, _mm256_setzero_si256()));
-    if (mask != -1) return false;
-  }
-  return ValidateDigitsSse2(data + i, n - i);
-}
-
-constexpr KernelTable kAvx2Table = {
-    FindByteAvx2,      SplitWhitespaceAvx2, HashBytesWide,
-    ValidateDigitsAvx2, EqualDate10Sse2,    ParseClock8Swar,
-};
-
-#endif  // SLD_SIMD_X86
-
-Level DetectMaxLevel() noexcept {
-#if SLD_SIMD_X86
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return Level::kSse2;
-#endif
-  return Level::kScalar;
-}
-
-// Startup level: CPUID ceiling, optionally lowered by SLD_SIMD.  Unknown
-// names (other than the "use the ceiling" spellings) and over-capability
-// requests warn on stderr and fall back to the detected level — an env
-// typo must not silently change which code runs.
-Level StartupLevel() noexcept {
-  const Level detected = DetectMaxLevel();
-  const char* env = std::getenv("SLD_SIMD");
-  if (env == nullptr || env[0] == '\0' || std::strcmp(env, "native") == 0 ||
-      std::strcmp(env, "auto") == 0) {
-    return detected;
-  }
-  const std::optional<Level> want = LevelFromName(env);
-  if (!want.has_value()) {
-    std::fprintf(stderr,
-                 "sld: SLD_SIMD=%s is not scalar|sse2|avx2|native; using %s\n",
-                 env, LevelName(detected));
-    return detected;
-  }
-  if (*want > detected) {
-    std::fprintf(stderr,
-                 "sld: SLD_SIMD=%s is not supported on this cpu; using %s\n",
-                 env, LevelName(detected));
-    return detected;
-  }
-  return *want;
-}
-
-[[maybe_unused]] const bool g_startup_level_applied = [] {
-  SetLevel(StartupLevel());
-  return true;
-}();
-
-}  // namespace
-
-namespace detail {
-constinit std::atomic<const KernelTable*> g_active{&kScalarTable};
-}  // namespace detail
-
-const KernelTable& TableFor(Level level) noexcept {
-#if SLD_SIMD_X86
-  switch (level) {
-    case Level::kAvx2:
-      return kAvx2Table;
-    case Level::kSse2:
-      return kSse2Table;
-    case Level::kScalar:
-      break;
-  }
-#else
-  (void)level;
-#endif
-  return kScalarTable;
-}
-
-Level MaxSupported() noexcept {
-  static const Level detected = DetectMaxLevel();
-  return detected;
-}
-
-Level ActiveLevel() noexcept {
-  const KernelTable* table = detail::g_active.load(std::memory_order_relaxed);
-#if SLD_SIMD_X86
-  if (table == &kAvx2Table) return Level::kAvx2;
-  if (table == &kSse2Table) return Level::kSse2;
-#endif
-  (void)table;
-  return Level::kScalar;
-}
-
-Level SetLevel(Level want) noexcept {
-  const Level max = MaxSupported();
-  const Level got = want <= max ? want : max;
-  detail::g_active.store(&TableFor(got), std::memory_order_relaxed);
-  return got;
-}
-
-std::optional<Level> LevelFromName(std::string_view name) noexcept {
-  if (name == "scalar") return Level::kScalar;
-  if (name == "sse2") return Level::kSse2;
-  if (name == "avx2") return Level::kAvx2;
-  return std::nullopt;
-}
-
-const char* LevelName(Level level) noexcept {
-  switch (level) {
-    case Level::kSse2:
-      return "sse2";
-    case Level::kAvx2:
-      return "avx2";
-    case Level::kScalar:
-      break;
-  }
-  return "scalar";
-}
+#endif  // __SSE2__
 
 }  // namespace sld::simd

@@ -1,106 +1,65 @@
-// Runtime-dispatched SIMD kernels for the byte-level hot loops.
+// Compile-time SIMD kernels for the byte-level hot loops.
 //
-// Each kernel ships in up to three variants — scalar (the always-available
-// oracle, compiled with the project's baseline flags), SSE2 and AVX2 — and
-// every variant is bit-identical to the scalar one for every input: same
-// return values, same token spans, same 64-bit hash.  Dispatch is resolved
-// once at startup from CPUID (`__builtin_cpu_supports`) into a function
-// pointer table; `SLD_SIMD=scalar|sse2|avx2` in the environment (or
-// `--simd` on sldigest) pins a lower level, and requests above what the
-// host supports clamp down with a warning.  Callers above `src/common/`
-// never see any of this: strings.cc, hash.h, time.cc, ingest.cc and
-// record.cc route through the wrappers below and keep their signatures.
+// Three kernels -- find_byte, split_whitespace and equal_date10 -- each
+// have a scalar body and an SSE2 body.  The wrappers at the bottom of
+// this header run the SSE2 body whenever the compiler targets SSE2
+// (`__SSE2__`, which every x86-64 build defines) and the scalar body
+// everywhere else; nothing is chosen at run time.  The scalar bodies are
+// compiled on every platform as the named oracles that simd_test and
+// bench_kernels compare the SSE2 bodies against: same return values and
+// the same token spans for every input.  Callers above `src/common/`
+// never see any of this: strings.cc, time.cc, ingest.cc and record.cc
+// route through the wrappers and keep their signatures.
 //
-// Contracts that differ from the scalar code they replace:
-//   * EqualDate10 requires BOTH arguments to have 16 readable bytes (it is
-//     a single 16-byte vector compare masked to the low 10).  The two call
-//     sites guarantee this: timestamp text is at least 19 bytes and
-//     TimestampMemo::date is padded to 16.
-//   * ParseClock8 requires 8 readable bytes.
-// Everything else reads only the span it is given (full-width chunks, then
-// a scalar or staged tail — never past the end).
+// One contract differs from the scalar code the kernels replace:
+// EqualDate10 requires BOTH arguments to have 16 readable bytes (it is a
+// single 16-byte vector compare masked to the low 10).  Its one call site
+// guarantees this: timestamp text is at least 19 bytes and
+// TimestampMemo::date is padded to 16.  The other kernels read only the
+// span they are given (full-width chunks, then a scalar or staged tail --
+// never past the end).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <optional>
 #include <string_view>
 #include <vector>
 
 namespace sld::simd {
 
-// Dispatch levels, ordered by capability.  The numeric values are stable —
-// they are exported as the `simd_level` metrics gauge.
-enum class Level : int {
-  kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
-};
+// ---- Scalar oracles ------------------------------------------------------
 
-// One resolved kernel set.  All three tables exist on x86; non-x86 builds
-// alias everything to the scalar table.
-struct KernelTable {
-  // Index of the first `byte` at or after `from`, or `n` when absent.
-  std::size_t (*find_byte)(const char* data, std::size_t n, std::size_t from,
+// Index of the first `byte` at or after `from`, or `n` when absent.
+std::size_t FindByteScalar(const char* data, std::size_t n, std::size_t from,
                            char byte) noexcept;
-  // Clears `out` and refills it with the space/tab-separated tokens of
-  // `text` — identical spans to sld::SplitWhitespace.
-  void (*split_whitespace)(std::string_view text,
+
+// Clears `out` and refills it with the space/tab-separated tokens of
+// `text`, as spans into `text`.
+void SplitWhitespaceScalar(std::string_view text,
                            std::vector<std::string_view>* out);
-  // Same value as sld::HashBytesScalar for every (bytes, seed).
-  std::uint64_t (*hash_bytes)(const char* data, std::size_t n,
-                              std::uint64_t seed) noexcept;
-  // True when all `n` bytes are decimal digits.  n == 0 returns true; the
-  // IsAllDigits wrapper below adds the non-empty requirement.
-  bool (*validate_digits)(const char* data, std::size_t n) noexcept;
-  // memcmp(a, b, 10) == 0, with 16 readable bytes required behind both
-  // pointers at every level (see header comment).
-  bool (*equal_date10)(const char* a, const char* b) noexcept;
-  // Parses "HH:MM:SS" at `p` (8 readable bytes): returns
-  // (hour << 16) | (minute << 8) | second on digit/colon shape match, -1
-  // otherwise.  No range checks — callers keep their own.
-  int (*parse_clock8)(const char* p) noexcept;
-};
 
-namespace detail {
-// Constant-initialized to the scalar table so kernel calls are safe during
-// static initialization; a dynamic initializer in simd.cc then applies
-// CPUID detection and the SLD_SIMD override.
-extern std::atomic<const KernelTable*> g_active;
-}  // namespace detail
+// memcmp(a, b, 10) == 0.
+bool EqualDate10Scalar(const char* a, const char* b) noexcept;
 
-// The table for a given level (scalar table when the level is not compiled
-// in on this architecture).
-const KernelTable& TableFor(Level level) noexcept;
+// ---- SSE2 bodies ---------------------------------------------------------
 
-// Highest level this host supports.
-Level MaxSupported() noexcept;
-inline bool Supported(Level level) noexcept { return level <= MaxSupported(); }
+#if defined(__SSE2__)
+std::size_t FindByteSse2(const char* data, std::size_t n, std::size_t from,
+                         char byte) noexcept;
+void SplitWhitespaceSse2(std::string_view text,
+                         std::vector<std::string_view>* out);
+// Needs 16 readable bytes behind both pointers (see header comment).
+bool EqualDate10Sse2(const char* a, const char* b) noexcept;
+#endif
 
-// Currently active dispatch level.
-Level ActiveLevel() noexcept;
-
-// Activates `want`, clamped to MaxSupported(); returns what was activated.
-// Intended for startup (and tests); concurrent readers only ever see a
-// valid table, but flipping mid-flight mixes levels across calls.
-Level SetLevel(Level want) noexcept;
-
-// "scalar" | "sse2" | "avx2" (exact match) -> level; anything else nullopt.
-std::optional<Level> LevelFromName(std::string_view name) noexcept;
-
-// Inverse of LevelFromName; returns a NUL-terminated literal.
-const char* LevelName(Level level) noexcept;
-
-inline const KernelTable& Active() noexcept {
-  return *detail::g_active.load(std::memory_order_relaxed);
-}
-
-// ---- Dispatched wrappers -------------------------------------------------
+// ---- The kernel set this build runs --------------------------------------
 
 inline std::size_t FindByteFrom(std::string_view hay, std::size_t from,
                                 char byte) noexcept {
-  return Active().find_byte(hay.data(), hay.size(), from, byte);
+#if defined(__SSE2__)
+  return FindByteSse2(hay.data(), hay.size(), from, byte);
+#else
+  return FindByteScalar(hay.data(), hay.size(), from, byte);
+#endif
 }
 
 inline std::size_t FindNewlineFrom(std::string_view hay,
@@ -108,34 +67,21 @@ inline std::size_t FindNewlineFrom(std::string_view hay,
   return FindByteFrom(hay, from, '\n');
 }
 
-inline std::size_t FindNewline(std::string_view hay) noexcept {
-  return FindNewlineFrom(hay, 0);
-}
-
 inline void SplitWhitespace(std::string_view text,
                             std::vector<std::string_view>* out) {
-  Active().split_whitespace(text, out);
-}
-
-inline std::uint64_t HashBytes(std::string_view bytes,
-                               std::uint64_t seed) noexcept {
-  return Active().hash_bytes(bytes.data(), bytes.size(), seed);
-}
-
-inline bool ValidateDigits(const char* data, std::size_t n) noexcept {
-  return Active().validate_digits(data, n);
-}
-
-inline bool IsAllDigits(std::string_view text) noexcept {
-  return !text.empty() && ValidateDigits(text.data(), text.size());
+#if defined(__SSE2__)
+  SplitWhitespaceSse2(text, out);
+#else
+  SplitWhitespaceScalar(text, out);
+#endif
 }
 
 inline bool EqualDate10(const char* a, const char* b) noexcept {
-  return Active().equal_date10(a, b);
-}
-
-inline int ParseClock8(const char* p) noexcept {
-  return Active().parse_clock8(p);
+#if defined(__SSE2__)
+  return EqualDate10Sse2(a, b);
+#else
+  return EqualDate10Scalar(a, b);
+#endif
 }
 
 }  // namespace sld::simd

@@ -100,7 +100,11 @@ std::optional<std::int64_t> ParseInt(std::string_view text) noexcept {
 }
 
 bool IsAllDigits(std::string_view text) noexcept {
-  return simd::IsAllDigits(text);
+  if (text.empty()) return false;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return false;
+  }
+  return true;
 }
 
 bool LooksLikeIpv4(std::string_view text) noexcept {

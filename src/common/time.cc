@@ -148,12 +148,12 @@ std::optional<TimeMs> ParseTimestampFast(std::string_view text,
     memo.day_base = base;
     memo.valid = true;
   }
-  if (text[10] != ' ') return std::nullopt;
-  const int clock = simd::ParseClock8(text.data() + 11);
-  if (clock < 0) return std::nullopt;
-  const int hour = (clock >> 16) & 0xFF;
-  const int minute = (clock >> 8) & 0xFF;
-  const int second = clock & 0xFF;
+  int hour, minute, second;
+  if (text[10] != ' ' || !ParseFixedInt(text, 11, 2, hour) ||
+      text[13] != ':' || !ParseFixedInt(text, 14, 2, minute) ||
+      text[16] != ':' || !ParseFixedInt(text, 17, 2, second)) {
+    return std::nullopt;
+  }
   int millisecond = 0;
   if (text.size() == 23 &&
       (text[19] != '.' || !ParseFixedInt(text, 20, 3, millisecond))) {

@@ -64,7 +64,7 @@ std::optional<TimeMs> ParseTimestamp(std::string_view text) noexcept;
 // validated dates enter the memo, so a 10-byte prefix match is proof the
 // date part is well-formed and in range.  The array is padded to 16 bytes
 // (only the first kDateLen are meaningful, the rest stay zero) so the
-// prefix check can be one 16-byte vector compare — see simd::EqualDate10.
+// prefix check can be one 16-byte SSE2 compare — see simd::EqualDate10.
 struct TimestampMemo {
   static constexpr std::size_t kDateLen = 10;
   std::array<char, 16> date{};

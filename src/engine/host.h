@@ -9,9 +9,8 @@
 //   - one obs::Registry, every engine registering through a
 //     {"tenant", NAME} scoped view so all series stay distinguishable;
 //   - the wire front: one UDP port per tenant fanned out over
-//     `--listeners` SO_REUSEPORT sockets, drained in batches (recvmmsg
-//     or io_uring multishot, see src/wirefront/) and routed to the
-//     owning engine.  All of a tenant's listeners feed one collector,
+//     `--listeners` SO_REUSEPORT sockets, drained in recvmmsg batches
+//     (see src/wirefront/) and routed to the owning engine.  All of a tenant's listeners feed one collector,
 //     whose single release watermark merges them.
 //
 // Everything else — knowledge base, collector, pipeline, group state,
@@ -94,8 +93,8 @@ class EngineHost {
   // Opens the wire front: `wire.listeners` SO_REUSEPORT sockets per
   // tenant at each spec's port (0 = ephemeral; read back with port_of),
   // with per-listener metrics scoped to each tenant's registry view.
-  // The backend honors `wire.backend` / SLD_WIRE.  Returns false and
-  // fills `error` on the first port that cannot be bound.
+  // Returns false and fills `error` on the first port that cannot be
+  // bound.
   bool BindAll(const wirefront::WireOptions& wire, std::string* error);
   bool BindAll(std::string* error) {
     return BindAll(wirefront::WireOptions{}, error);

@@ -7,7 +7,7 @@
 // deliberately minimal — blocking receive with a timeout, no threads —
 // so callers own their event loop.  The batched wire front
 // (src/wirefront/) builds its listener sockets on UdpReceiver::Bind and
-// drains them with recvmmsg/io_uring instead of Receive().
+// drains them with recvmmsg instead of Receive().
 #pragma once
 
 #include <cstdint>
@@ -77,7 +77,7 @@ class UdpReceiver {
   std::uint16_t port() const noexcept { return port_; }
 
   // The underlying socket, for callers multiplexing several receivers
-  // through one poll()/recvmmsg/io_uring loop (the wire front); -1 when
+  // through one poll()/recvmmsg loop (the wire front); -1 when
   // moved-from.
   int fd() const noexcept { return fd_; }
 

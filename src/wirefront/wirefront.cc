@@ -4,70 +4,19 @@
 #include <sys/socket.h>
 
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
-#include "wirefront/uring_driver.h"
-
 namespace sld::wirefront {
 namespace {
+
+// Datagrams harvested per recvmmsg call.
+constexpr std::size_t kBatch = 64;
 
 // Ancillary space for the one cmsg we ask for (SO_RXQ_OVFL's u32).
 constexpr std::size_t kCmsgSpace = CMSG_SPACE(sizeof(std::uint32_t));
 
 }  // namespace
-
-#ifndef SLD_HAVE_URING
-// Stubs when liburing is compiled out (SLD_WITH_URING=OFF or not found):
-// the uring backend reports unsupported and the front runs on recvmmsg.
-namespace internal {
-bool UringRuntimeSupported() { return false; }
-std::unique_ptr<UringDriver> MakeUringDriver(const std::vector<int>&, int, int,
-                                             std::string* error) {
-  if (error) *error = "built without liburing (SLD_WITH_URING)";
-  return nullptr;
-}
-}  // namespace internal
-#endif  // !SLD_HAVE_URING
-
-const char* BackendName(Backend backend) noexcept {
-  switch (backend) {
-    case Backend::kPoll:
-      return "poll";
-    case Backend::kUring:
-      return "uring";
-  }
-  return "?";
-}
-
-std::optional<Backend> BackendFromName(std::string_view name) noexcept {
-  if (name == "poll" || name == "recvmmsg") return Backend::kPoll;
-  if (name == "uring" || name == "io_uring") return Backend::kUring;
-  return std::nullopt;
-}
-
-bool UringSupported() { return internal::UringRuntimeSupported(); }
-
-Backend DefaultBackend() {
-  if (const char* env = std::getenv("SLD_WIRE"); env != nullptr && *env) {
-    if (const auto forced = BackendFromName(env)) {
-      if (*forced == Backend::kUring && !UringSupported()) {
-        std::fprintf(stderr,
-                     "wirefront: SLD_WIRE=uring but io_uring is unsupported "
-                     "here; using poll\n");
-        return Backend::kPoll;
-      }
-      return *forced;
-    }
-    std::fprintf(stderr,
-                 "wirefront: unknown SLD_WIRE value '%s' (want poll|uring); "
-                 "using default\n",
-                 env);
-  }
-  return UringSupported() ? Backend::kUring : Backend::kPoll;
-}
 
 // One bound socket plus its accounting; listeners_[t * K + i] is tenant
 // t's i-th listener.
@@ -92,10 +41,6 @@ struct WireFront::Scratch {
   std::vector<pollfd> pollfds;
 };
 
-struct WireFront::UringState {
-  std::unique_ptr<internal::UringDriver> driver;
-};
-
 WireFront::~WireFront() = default;
 
 std::unique_ptr<WireFront> WireFront::Open(
@@ -109,12 +54,6 @@ std::unique_ptr<WireFront> WireFront::Open(
   if (options.listeners < 1 || options.listeners > 64) {
     return fail("wirefront: listeners must be in [1, 64]");
   }
-  if (options.batch < 1 || options.batch > 1024) {
-    return fail("wirefront: batch must be in [1, 1024]");
-  }
-  if (options.ring_buffers < 8 || options.ring_buffer_bytes < 2048) {
-    return fail("wirefront: ring_buffers >= 8 and ring_buffer_bytes >= 2048");
-  }
   // Duplicate explicit ports would make two tenants share one flow hash
   // group; reject instead of silently interleaving streams.
   for (std::size_t a = 0; a < tenants.size(); ++a) {
@@ -126,17 +65,9 @@ std::unique_ptr<WireFront> WireFront::Open(
     }
   }
 
-  Backend backend = options.backend.value_or(DefaultBackend());
-  if (options.backend.has_value() && backend == Backend::kUring &&
-      !UringSupported()) {
-    return fail("wirefront: io_uring backend requested but unsupported here");
-  }
-
   auto front = std::unique_ptr<WireFront>(new WireFront());
-  front->backend_ = backend;
   front->tenants_ = tenants.size();
   front->listeners_per_tenant_ = options.listeners;
-  front->batch_ = options.batch;
 
   const int k = options.listeners;
   front->listeners_.reserve(tenants.size() * static_cast<std::size_t>(k));
@@ -176,49 +107,17 @@ std::unique_ptr<WireFront> WireFront::Open(
     if (obs::Registry* reg = tenants[t].metrics) {
       reg->AddGauge("wire_listeners", "SO_REUSEPORT listeners for this tenant")
           ->Set(k);
-      reg->AddGauge("wire_backend",
-                    "Active wire backend (0 = poll/recvmmsg, 1 = io_uring)")
-          ->Set(static_cast<int>(backend));
     }
   }
 
-  const auto batch = static_cast<std::size_t>(options.batch);
-  front->payload_slab_.resize(batch * kMaxDatagram);
-  front->cmsg_slab_.resize(batch * kCmsgSpace);
+  front->payload_slab_.resize(kBatch * kMaxDatagram);
+  front->cmsg_slab_.resize(kBatch * kCmsgSpace);
   front->scratch_ = std::make_unique<Scratch>();
-  front->scratch_->msgs.resize(batch);
-  front->scratch_->iovs.resize(batch);
+  front->scratch_->msgs.resize(kBatch);
+  front->scratch_->iovs.resize(kBatch);
   front->scratch_->pollfds.resize(front->listeners_.size());
   for (std::size_t i = 0; i < front->listeners_.size(); ++i) {
     front->scratch_->pollfds[i] = {front->listeners_[i].sock.fd(), POLLIN, 0};
-  }
-
-  if (backend == Backend::kUring) {
-    std::vector<int> fds;
-    fds.reserve(front->listeners_.size());
-    for (const Listener& ln : front->listeners_) fds.push_back(ln.sock.fd());
-    std::string uring_error;
-    auto driver = internal::MakeUringDriver(
-        fds, options.ring_buffers, options.ring_buffer_bytes, &uring_error);
-    if (driver != nullptr) {
-      front->uring_ = std::make_unique<UringState>();
-      front->uring_->driver = std::move(driver);
-    } else if (options.backend.has_value()) {
-      return fail("wirefront: io_uring setup failed: " + uring_error);
-    } else {
-      // Auto-selected uring that fails per-instance setup (locked-memory
-      // limits, seccomp, ...) degrades to the always-available backend.
-      std::fprintf(stderr, "wirefront: io_uring setup failed (%s); using poll\n",
-                   uring_error.c_str());
-      front->backend_ = Backend::kPoll;
-      for (std::size_t t = 0; t < tenants.size(); ++t) {
-        if (obs::Registry* reg = tenants[t].metrics) {
-          reg->AddGauge("wire_backend",
-                        "Active wire backend (0 = poll/recvmmsg, 1 = io_uring)")
-              ->Set(static_cast<int>(Backend::kPoll));
-        }
-      }
-    }
   }
   return front;
 }
@@ -251,10 +150,9 @@ void WireFront::Account(Listener& listener, std::uint64_t new_drops) {
 std::size_t WireFront::DrainListener(Listener& listener, std::size_t cap,
                                      const Sink& sink) {
   Scratch& s = *scratch_;
-  const auto batch = static_cast<std::size_t>(batch_);
   std::size_t total = 0;
   for (;;) {
-    std::size_t vlen = batch;
+    std::size_t vlen = kBatch;
     if (cap != 0 && cap - total < vlen) vlen = cap - total;
     if (vlen == 0) break;
     // The kernel rewrites msg_controllen / msg_flags per message, so the
@@ -300,8 +198,8 @@ std::size_t WireFront::DrainListener(Listener& listener, std::size_t cap,
   return total;
 }
 
-std::ptrdiff_t WireFront::PollBackendOnce(int timeout_ms, std::size_t max,
-                                          const Sink& sink) {
+std::ptrdiff_t WireFront::PollOnce(int timeout_ms, std::size_t max,
+                                   const Sink& sink) {
   Scratch& s = *scratch_;
   for (pollfd& p : s.pollfds) p.revents = 0;
   const int ready =
@@ -316,29 +214,6 @@ std::ptrdiff_t WireFront::PollBackendOnce(int timeout_ms, std::size_t max,
                                max == 0 ? 0 : max - delivered, sink);
   }
   return static_cast<std::ptrdiff_t>(delivered);
-}
-
-std::ptrdiff_t WireFront::UringBackendOnce(int timeout_ms, std::size_t max,
-                                           const Sink& sink) {
-  const internal::UringDriver::Deliver deliver =
-      [this, &sink](std::size_t flat, std::string_view payload,
-                    const std::uint32_t* ovfl) {
-        Listener& listener = listeners_[flat];
-        if (ovfl != nullptr) Account(listener, *ovfl);
-        ++listener.datagrams;
-        ++total_datagrams_;
-        if (listener.datagram_cell != nullptr) listener.datagram_cell->Inc();
-        sink(listener.tenant, payload);
-      };
-  return uring_->driver->Wait(timeout_ms, max, deliver);
-}
-
-std::ptrdiff_t WireFront::PollOnce(int timeout_ms, std::size_t max,
-                                   const Sink& sink) {
-  if (backend_ == Backend::kUring && uring_ != nullptr) {
-    return UringBackendOnce(timeout_ms, max, sink);
-  }
-  return PollBackendOnce(timeout_ms, max, sink);
 }
 
 }  // namespace sld::wirefront

@@ -8,31 +8,20 @@
 // the SAME tenant sink — the Collector behind it keeps a single release
 // watermark, so fan-out changes throughput, never semantics.
 //
-// Backends.  Two drain strategies behind one PollOnce() surface,
-// selected at Open time (SLD_WIRE=poll|uring overrides, mirroring the
-// SLD_SIMD dispatch pattern):
-//   - kPoll:  poll() across all listeners, then batched recvmmsg with
-//     MSG_DONTWAIT per ready socket into a preallocated slab.  Always
-//     available; this is what runs under TSan.
-//   - kUring: io_uring multishot recvmsg over registered buffer rings —
-//     one standing SQE per listener, the kernel writes each datagram
-//     into a ring-provided buffer and posts a CQE; no per-datagram
-//     syscall at all.  Compiled only when liburing is found
-//     (SLD_WITH_URING); falls back to kPoll when the running kernel
-//     lacks the opcodes.
-//
-// Both backends deliver each datagram to the sink as a string_view into
-// front-owned storage (valid only during the sink call) and allocate
-// nothing per datagram in steady state.  Kernel receive-queue drops are
-// accounted via SO_RXQ_OVFL ancillary data (the lossless-loopback
-// invariant: accepted + kernel_drops + malformed = sent).
+// Drain.  One poll() across all listeners per PollOnce, then batched
+// recvmmsg with MSG_DONTWAIT on each ready socket, up to 64 datagrams per
+// call, into a preallocated slab.  Each datagram reaches the sink as a
+// string_view into front-owned storage (valid only during the sink call),
+// and nothing is allocated per datagram in steady state.  Kernel
+// receive-queue drops are accounted via SO_RXQ_OVFL ancillary data (the
+// lossless-loopback invariant: accepted + kernel_drops + malformed =
+// sent).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,40 +31,13 @@
 
 namespace sld::wirefront {
 
-// UDP's practical ceiling; the poll backend receives up to this per
-// datagram.  The uring backend's per-buffer capacity is WireOptions::
-// ring_buffer_bytes (oversize datagrams truncate there).
+// UDP's practical ceiling; each datagram is received into a slot this
+// big.
 inline constexpr std::size_t kMaxDatagram = 64 * 1024;
 
-enum class Backend : int { kPoll = 0, kUring = 1 };
-
-const char* BackendName(Backend backend) noexcept;
-std::optional<Backend> BackendFromName(std::string_view name) noexcept;
-
-// True when the io_uring backend was compiled in (liburing found) AND
-// the running kernel accepts a ring with a registered buffer ring.
-bool UringSupported();
-
-// kUring when supported, else kPoll.  SLD_WIRE=poll|uring overrides;
-// requesting uring where unsupported clamps to kPoll with a warning on
-// stderr, like an unknown value.
-Backend DefaultBackend();
-
 struct WireOptions {
-  // nullopt = DefaultBackend().  An explicit kUring fails Open (instead
-  // of clamping) when uring is unsupported, so tests can distinguish
-  // "asked and missing" from "fell back".
-  std::optional<Backend> backend;
   // SO_REUSEPORT listeners per tenant port.
   int listeners = 1;
-  // Datagrams harvested per recvmmsg call (poll backend) and the CQE
-  // batch bound per wakeup (uring backend).
-  int batch = 64;
-  // Uring: registered buffers per listener (rounded up to a power of
-  // two) and the capacity of each.  ring_buffers * ring_buffer_bytes of
-  // locked memory per listener.
-  int ring_buffers = 256;
-  int ring_buffer_bytes = 16 * 1024;
   // Kernel receive buffer request per listener (clamped by the kernel;
   // the grant is exported as the wire_rcvbuf_bytes gauge).
   int rcvbuf_bytes = 4 * 1024 * 1024;
@@ -96,9 +58,9 @@ class WireFront {
   static constexpr std::ptrdiff_t kInterrupted = -1;  // EINTR hit the wait
   static constexpr std::ptrdiff_t kError = -2;        // unrecoverable
 
-  // Binds listeners * tenants.size() sockets and readies the backend.
-  // Returns nullptr with a human-readable *error on failure (duplicate
-  // explicit ports, bind failure, explicit-uring without support, ...).
+  // Binds listeners * tenants.size() sockets.  Returns nullptr with a
+  // human-readable *error on failure (no tenants, a listener count
+  // outside [1, 64], duplicate explicit ports, bind failure).
   static std::unique_ptr<WireFront> Open(const WireOptions& options,
                                          const std::vector<TenantPort>& tenants,
                                          std::string* error);
@@ -107,7 +69,6 @@ class WireFront {
   WireFront(const WireFront&) = delete;
   WireFront& operator=(const WireFront&) = delete;
 
-  Backend backend() const noexcept { return backend_; }
   std::size_t tenant_count() const noexcept { return tenants_; }
   int listeners_per_tenant() const noexcept { return listeners_per_tenant_; }
   std::uint16_t port_of(std::size_t tenant) const noexcept;
@@ -132,31 +93,23 @@ class WireFront {
 
  private:
   struct Listener;
-  struct UringState;
 
   WireFront() = default;
 
-  std::ptrdiff_t PollBackendOnce(int timeout_ms, std::size_t max,
-                                 const Sink& sink);
-  std::ptrdiff_t UringBackendOnce(int timeout_ms, std::size_t max,
-                                  const Sink& sink);
   // Drains one listener with recvmmsg; `cap` 0 = unbounded.
   std::size_t DrainListener(Listener& listener, std::size_t cap,
                             const Sink& sink);
   void Account(Listener& listener, std::uint64_t new_drops);
 
-  Backend backend_ = Backend::kPoll;
   std::size_t tenants_ = 0;
   int listeners_per_tenant_ = 1;
-  int batch_ = 64;
 
   std::vector<Listener> listeners_;
-  // recvmmsg scratch, sized batch_ entries; see wirefront.cc.
+  // recvmmsg scratch, one batch of entries; see wirefront.cc.
   std::vector<char> payload_slab_;
   std::vector<char> cmsg_slab_;
   struct Scratch;
   std::unique_ptr<Scratch> scratch_;
-  std::unique_ptr<UringState> uring_;
 
   std::uint64_t total_datagrams_ = 0;
   std::uint64_t total_drops_ = 0;

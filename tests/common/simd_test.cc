@@ -1,14 +1,11 @@
 // Differential tests for the SIMD kernel layer (common/simd.h).
 //
-// Every vector kernel must agree byte-for-byte with the scalar oracle for
+// Every SSE2 kernel must agree byte-for-byte with its scalar oracle for
 // every input: the sweeps below cover lengths 0..257 at all 64 alignments
 // of an oversized page, adversarial byte placements (NUL, newline, space,
 // tab, high bytes at every position), guard-page spans that fault on any
-// overread, and a seeded random fuzz rep — all run per dispatch level the
-// host actually supports.  HashBytes additionally must return the *same
-// value* at every level (memo-cache keys are serialized into bench
-// identities), and flipping the active level must be invisible through
-// the public sld:: wrappers.
+// overread, and a seeded random fuzz rep.  The public sld:: wrappers the
+// library calls must match the oracles too.
 
 #include "common/simd.h"
 
@@ -21,19 +18,13 @@
 
 #include <gtest/gtest.h>
 
-#include "common/hash.h"
 #include "common/strings.h"
 #include "common/time.h"
 
 namespace sld::simd {
 namespace {
 
-std::vector<Level> HostLevels() {
-  std::vector<Level> levels = {Level::kScalar};
-  if (Supported(Level::kSse2)) levels.push_back(Level::kSse2);
-  if (Supported(Level::kAvx2)) levels.push_back(Level::kAvx2);
-  return levels;
-}
+#if defined(__SSE2__)
 
 // Fills `n` bytes with a palette rich in the bytes the kernels classify.
 void Fill(std::mt19937_64& rng, char* p, std::size_t n) {
@@ -47,44 +38,30 @@ void Fill(std::mt19937_64& rng, char* p, std::size_t n) {
   }
 }
 
-// Runs every span-shaped kernel at `level` against the scalar table on
+// Runs every span-shaped SSE2 kernel against its scalar oracle on
 // [data, data+n) and asserts full agreement.
-void ExpectSpanAgreement(Level level, const char* data, std::size_t n) {
-  const KernelTable& oracle = TableFor(Level::kScalar);
-  const KernelTable& table = TableFor(level);
+void ExpectSpanAgreement(const char* data, std::size_t n) {
   const std::string_view text(data, n);
 
   for (const char needle : {'\n', ' ', '\0'}) {
     for (const std::size_t from : {std::size_t{0}, n / 2, n}) {
-      ASSERT_EQ(table.find_byte(data, n, from, needle),
-                oracle.find_byte(data, n, from, needle))
-          << "level=" << LevelName(level) << " n=" << n << " from=" << from
+      ASSERT_EQ(FindByteSse2(data, n, from, needle),
+                FindByteScalar(data, n, from, needle))
+          << "n=" << n << " from=" << from
           << " needle=" << static_cast<int>(needle);
     }
   }
 
   std::vector<std::string_view> got, want;
-  table.split_whitespace(text, &got);
-  oracle.split_whitespace(text, &want);
-  ASSERT_EQ(got.size(), want.size())
-      << "level=" << LevelName(level) << " n=" << n;
+  SplitWhitespaceSse2(text, &got);
+  SplitWhitespaceScalar(text, &want);
+  ASSERT_EQ(got.size(), want.size()) << "n=" << n;
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(static_cast<const void*>(got[i].data()),
               static_cast<const void*>(want[i].data()))
-        << "level=" << LevelName(level) << " n=" << n << " token=" << i;
-    ASSERT_EQ(got[i].size(), want[i].size())
-        << "level=" << LevelName(level) << " n=" << n << " token=" << i;
+        << "n=" << n << " token=" << i;
+    ASSERT_EQ(got[i].size(), want[i].size()) << "n=" << n << " token=" << i;
   }
-
-  for (const std::uint64_t seed : {kFnv1aOffset, std::uint64_t{0},
-                                   std::uint64_t{0x1234abcd5678ef00ull}}) {
-    ASSERT_EQ(table.hash_bytes(data, n, seed),
-              oracle.hash_bytes(data, n, seed))
-        << "level=" << LevelName(level) << " n=" << n << " seed=" << seed;
-  }
-
-  ASSERT_EQ(table.validate_digits(data, n), oracle.validate_digits(data, n))
-      << "level=" << LevelName(level) << " n=" << n;
 }
 
 TEST(SimdKernels, LengthAlignmentSweep) {
@@ -95,7 +72,7 @@ TEST(SimdKernels, LengthAlignmentSweep) {
       char* p = page + align;
       Fill(rng, p, len);
       // Variant 2: plant newlines at the edges and middle; variant 3:
-      // all digits (validate_digits true path).
+      // all digits (no whitespace, one long token).
       for (int variant = 0; variant < 3; ++variant) {
         if (variant == 1 && len > 0) {
           p[0] = '\n';
@@ -107,9 +84,7 @@ TEST(SimdKernels, LengthAlignmentSweep) {
             p[i] = static_cast<char>('0' + (rng() % 10));
           }
         }
-        for (const Level level : HostLevels()) {
-          ExpectSpanAgreement(level, p, len);
-        }
+        ExpectSpanAgreement(p, len);
       }
     }
   }
@@ -123,14 +98,12 @@ TEST(SimdKernels, AdversarialBytePlacements) {
                                   std::size_t{15}, std::size_t{31},
                                   std::size_t{33}, std::size_t{63}}) {
     char* p = page + align;
-    constexpr std::size_t kLen = 130;  // spans 4 AVX2 chunks + tail
+    constexpr std::size_t kLen = 130;  // spans 8 SSE2 chunks + tail
     for (const unsigned char special : kSpecials) {
       std::memset(p, 'a', kLen);
       for (std::size_t pos = 0; pos < kLen; ++pos) {
         p[pos] = static_cast<char>(special);
-        for (const Level level : HostLevels()) {
-          ExpectSpanAgreement(level, p, kLen);
-        }
+        ExpectSpanAgreement(p, kLen);
         p[pos] = 'a';
       }
     }
@@ -138,8 +111,8 @@ TEST(SimdKernels, AdversarialBytePlacements) {
 }
 
 // Spans placed flush against a PROT_NONE page: any read past the span
-// faults.  (EqualDate10/ParseClock8 are exercised at their contract
-// widths — 16 and 8 readable bytes — likewise flush to the boundary.)
+// faults.  (EqualDate10 is exercised at its contract width -- 16 readable
+// bytes -- likewise flush to the boundary.)
 TEST(SimdKernels, NoOverreadAtGuardPage) {
   const std::size_t page = 4096;
   void* raw = mmap(nullptr, 3 * page, PROT_READ | PROT_WRITE,
@@ -153,29 +126,17 @@ TEST(SimdKernels, NoOverreadAtGuardPage) {
   for (std::size_t len = 0; len <= 257; ++len) {
     char* p = boundary - len;
     Fill(rng, p, len);
-    for (const Level level : HostLevels()) {
-      const KernelTable& table = TableFor(level);
-      (void)table.find_byte(p, len, 0, '\n');
-      table.split_whitespace(std::string_view(p, len), &scratch);
-      (void)table.hash_bytes(p, len, kFnv1aOffset);
-      (void)table.validate_digits(p, len);
-    }
+    (void)FindByteSse2(p, len, 0, '\n');
+    SplitWhitespaceSse2(std::string_view(p, len), &scratch);
   }
   std::memcpy(boundary - 16, "2010-01-10 extra", 16);
   std::memcpy(boundary - 32, "2010-01-10 other", 16);
-  for (const Level level : HostLevels()) {
-    EXPECT_TRUE(TableFor(level).equal_date10(boundary - 16, boundary - 32));
-  }
-  std::memcpy(boundary - 8, "12:34:56", 8);
-  for (const Level level : HostLevels()) {
-    EXPECT_EQ(TableFor(level).parse_clock8(boundary - 8),
-              (12 << 16) | (34 << 8) | 56);
-  }
+  EXPECT_TRUE(EqualDate10Sse2(boundary - 16, boundary - 32));
   munmap(base, 3 * page);
 }
 
 // Only the first 10 bytes participate in the compare; the 6 padding bytes
-// may differ arbitrarily at every level.
+// may differ arbitrarily.
 TEST(SimdKernels, EqualDate10IgnoresPadding) {
   char a[16];
   char b[16];
@@ -183,62 +144,9 @@ TEST(SimdKernels, EqualDate10IgnoresPadding) {
   for (std::size_t diff = 0; diff < 16; ++diff) {
     std::memcpy(b, a, 16);
     b[diff] = '!';
-    const bool want = std::memcmp(a, b, 10) == 0;
-    for (const Level level : HostLevels()) {
-      EXPECT_EQ(TableFor(level).equal_date10(a, b), want)
-          << "level=" << LevelName(level) << " diff=" << diff;
-    }
-  }
-}
-
-TEST(SimdKernels, ParseClock8Sweep) {
-  const KernelTable& oracle = TableFor(Level::kScalar);
-  static constexpr char kReplacements[] = {
-      '0', '5', '9', ':', '/', '.', ' ', 'a', '\0', '\n',
-      static_cast<char>('0' - 1), static_cast<char>('9' + 1),
-      static_cast<char>(0x80), static_cast<char>(0xFF)};
-  char buf[8];
-  for (std::size_t pos = 0; pos < 8; ++pos) {
-    for (const char replacement : kReplacements) {
-      std::memcpy(buf, "12:34:56", 8);
-      buf[pos] = replacement;
-      for (const Level level : HostLevels()) {
-        ASSERT_EQ(TableFor(level).parse_clock8(buf), oracle.parse_clock8(buf))
-            << "level=" << LevelName(level) << " pos=" << pos
-            << " byte=" << static_cast<int>(replacement);
-      }
-    }
-  }
-  // All two-digit fields, varied one at a time (and packing spot checks).
-  for (int v = 0; v < 100; ++v) {
-    char hh[9], mm[9], ss[9];
-    std::snprintf(hh, sizeof(hh), "%02d:11:22", v);
-    std::snprintf(mm, sizeof(mm), "03:%02d:22", v);
-    std::snprintf(ss, sizeof(ss), "03:11:%02d", v);
-    for (const Level level : HostLevels()) {
-      const KernelTable& table = TableFor(level);
-      EXPECT_EQ(table.parse_clock8(hh), (v << 16) | (11 << 8) | 22);
-      EXPECT_EQ(table.parse_clock8(mm), (3 << 16) | (v << 8) | 22);
-      EXPECT_EQ(table.parse_clock8(ss), (3 << 16) | (11 << 8) | v);
-    }
-  }
-}
-
-// The memo-key identity: same 64-bit value at every level, including the
-// chained two-hash pattern the match memo uses.
-TEST(SimdKernels, HashBytesValueStableAcrossLevels) {
-  std::mt19937_64 rng(42);
-  for (std::size_t len = 0; len <= 300; ++len) {
-    std::string s(len, '\0');
-    Fill(rng, s.data(), len);
-    const std::uint64_t want = HashBytesScalar(s);
-    for (const Level level : HostLevels()) {
-      const KernelTable& table = TableFor(level);
-      EXPECT_EQ(table.hash_bytes(s.data(), s.size(), kFnv1aOffset), want);
-      const std::uint64_t chained = table.hash_bytes(
-          s.data(), s.size(), want ^ 0x9ae16a3b2f90404full);
-      EXPECT_EQ(chained, HashBytesScalar(s, want ^ 0x9ae16a3b2f90404full));
-    }
+    EXPECT_EQ(EqualDate10Sse2(a, b), EqualDate10Scalar(a, b))
+        << "diff=" << diff;
+    EXPECT_EQ(EqualDate10Sse2(a, b), diff >= 10) << "diff=" << diff;
   }
 }
 
@@ -250,41 +158,16 @@ TEST(SimdKernels, SeededRandomFuzz) {
     const std::size_t align = rng() % 64;
     char* p = page + align;
     Fill(rng, p, len);
-    for (const Level level : HostLevels()) {
-      ExpectSpanAgreement(level, p, len);
-    }
+    ExpectSpanAgreement(p, len);
   }
 }
 
-TEST(SimdDispatch, LevelNamesRoundTrip) {
-  EXPECT_EQ(LevelFromName("scalar"), Level::kScalar);
-  EXPECT_EQ(LevelFromName("sse2"), Level::kSse2);
-  EXPECT_EQ(LevelFromName("avx2"), Level::kAvx2);
-  EXPECT_FALSE(LevelFromName("avx512").has_value());
-  EXPECT_FALSE(LevelFromName("").has_value());
-  EXPECT_FALSE(LevelFromName("native").has_value());
-  for (const Level level : HostLevels()) {
-    EXPECT_EQ(LevelFromName(LevelName(level)), level);
-  }
-}
+#endif  // __SSE2__
 
-TEST(SimdDispatch, SetLevelClampsToHost) {
-  const Level before = ActiveLevel();
-  const Level got = SetLevel(Level::kAvx2);
-  EXPECT_EQ(got, MaxSupported() >= Level::kAvx2 ? Level::kAvx2
-                                                : MaxSupported());
-  EXPECT_EQ(ActiveLevel(), got);
-  EXPECT_EQ(SetLevel(Level::kScalar), Level::kScalar);
-  EXPECT_EQ(ActiveLevel(), Level::kScalar);
-  SetLevel(before);
-  EXPECT_EQ(ActiveLevel(), before);
-}
-
-// Flipping the level must be invisible through the public wrappers the
-// library actually calls: tokenization, digit checks, hashing, and the
-// fast timestamp parse (vs its independent slow oracle).
+// The public wrappers the library actually calls -- tokenization and the
+// fast timestamp parse (vs its independent slow oracle) -- must match the
+// scalar oracles in whatever kernel set this build compiled.
 TEST(SimdDispatch, PublicWrappersIdenticalAtEveryLevel) {
-  const Level before = ActiveLevel();
   const std::vector<std::string> samples = {
       "",
       " ",
@@ -293,6 +176,7 @@ TEST(SimdDispatch, PublicWrappersIdenticalAtEveryLevel) {
       "  leading and trailing  ",
       "Interface TenGigE0/1/0/3 changed state to down",
       "neighbor 10.0.0.1 (AS 65001) down \t BGP-5-ADJCHANGE",
+      "2010-01-10 00:00:15 r1 LINK-3-UPDOWN down\nsecond line",
       std::string(300, ' '),
       std::string(127, 'x') + " " + std::string(129, 'y'),
   };
@@ -303,28 +187,21 @@ TEST(SimdDispatch, PublicWrappersIdenticalAtEveryLevel) {
       "2010-01-10 12:3x:56",        "garbage",
       "2010-01-1  12:34:56",
   };
-  for (const Level level : HostLevels()) {
-    ASSERT_EQ(SetLevel(level), level);
-    for (const std::string& s : samples) {
-      EXPECT_EQ(sld::SplitWhitespace(s), [&] {
-        std::vector<std::string_view> out;
-        TableFor(Level::kScalar).split_whitespace(s, &out);
-        return out;
-      }());
-      EXPECT_EQ(sld::IsAllDigits(s),
-                !s.empty() &&
-                    TableFor(Level::kScalar)
-                        .validate_digits(s.data(), s.size()));
-      EXPECT_EQ(sld::HashBytes(s), HashBytesScalar(s));
-    }
-    TimestampMemo memo;
-    for (const std::string& s : stamps) {
-      EXPECT_EQ(ParseTimestampFast(s, memo), ParseTimestamp(s)) << s;
-      // Twice: once cold, once through the memo's date-compare kernel.
-      EXPECT_EQ(ParseTimestampFast(s, memo), ParseTimestamp(s)) << s;
-    }
+  for (const std::string& s : samples) {
+    EXPECT_EQ(sld::SplitWhitespace(s), [&] {
+      std::vector<std::string_view> out;
+      SplitWhitespaceScalar(s, &out);
+      return out;
+    }());
+    EXPECT_EQ(FindNewlineFrom(s, 0),
+              FindByteScalar(s.data(), s.size(), 0, '\n'));
   }
-  SetLevel(before);
+  TimestampMemo memo;
+  for (const std::string& s : stamps) {
+    EXPECT_EQ(ParseTimestampFast(s, memo), ParseTimestamp(s)) << s;
+    // Twice: once cold, once through the memo's date-compare kernel.
+    EXPECT_EQ(ParseTimestampFast(s, memo), ParseTimestamp(s)) << s;
+  }
 }
 
 }  // namespace

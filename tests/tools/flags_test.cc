@@ -116,6 +116,9 @@ TEST(FlagsTest, GetAllKeepsEveryOccurrenceInOrder) {
   EXPECT_EQ(flags.Get("tenant"), "c:cfg:kb:3");
   // Absent flags yield an empty list, not an error.
   EXPECT_TRUE(flags.GetAll("port").empty());
+  // Names() lists each flag once, repeated or not, sorted.
+  const std::vector<std::string> names = {"shards", "tenant"};
+  EXPECT_EQ(flags.Names(), names);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Wire-front behavior over real loopback sockets: batched delivery, the
 // exact max cap, SO_REUSEPORT fan-out, kernel-drop accounting, and the
-// acceptance invariant that every backend (legacy one-at-a-time receive,
-// batched recvmmsg, io_uring when the host supports it) produces a
+// acceptance invariant that every ingest path (direct, legacy
+// one-at-a-time receive, the batched recvmmsg front) produces a
 // byte-identical event log from the same replayed stream at 1/4/16
 // shards.
 //
@@ -38,16 +38,6 @@ Clock::time_point Deadline(int seconds = 60) {
   return Clock::now() + std::chrono::seconds(seconds);
 }
 
-TEST(WireFrontTest, BackendNamesRoundTrip) {
-  EXPECT_STREQ(BackendName(Backend::kPoll), "poll");
-  EXPECT_STREQ(BackendName(Backend::kUring), "uring");
-  EXPECT_EQ(BackendFromName("poll"), Backend::kPoll);
-  EXPECT_EQ(BackendFromName("recvmmsg"), Backend::kPoll);
-  EXPECT_EQ(BackendFromName("uring"), Backend::kUring);
-  EXPECT_EQ(BackendFromName("io_uring"), Backend::kUring);
-  EXPECT_FALSE(BackendFromName("epoll").has_value());
-}
-
 TEST(WireFrontTest, OpenValidatesOptions) {
   std::string error;
   EXPECT_EQ(WireFront::Open(WireOptions{}, {}, &error), nullptr);
@@ -65,17 +55,8 @@ TEST(WireFrontTest, OpenValidatesOptions) {
   EXPECT_NE(error.find("duplicate"), std::string::npos);
 }
 
-TEST(WireFrontTest, ExplicitUringFailsLoudlyWhenUnsupported) {
-  if (UringSupported()) GTEST_SKIP() << "io_uring available here";
-  WireOptions options;
-  options.backend = Backend::kUring;
-  std::string error;
-  EXPECT_EQ(WireFront::Open(options, {TenantPort{}}, &error), nullptr);
-  EXPECT_FALSE(error.empty());
-}
-
-// Sends `frames` one at a time with retransmit-until-delivered, so every
-// backend sees the identical arrival sequence; delivered payloads are
+// Sends `frames` one at a time with retransmit-until-delivered, so the
+// front sees the identical arrival sequence every run; delivered payloads are
 // appended through `sink`.
 void SendAllInOrder(WireFront& front, syslog::UdpSender& sender,
                     const std::vector<std::string>& frames,
@@ -93,10 +74,8 @@ void SendAllInOrder(WireFront& front, syslog::UdpSender& sender,
 }
 
 TEST(WireFrontTest, DeliversBatchesAndCountsPerListener) {
-  WireOptions options;
-  options.batch = 8;
   std::string error;
-  auto front = WireFront::Open(options, {TenantPort{}}, &error);
+  auto front = WireFront::Open(WireOptions{}, {TenantPort{}}, &error);
   ASSERT_NE(front, nullptr) << error;
   ASSERT_NE(front->port_of(0), 0);
   auto sender = syslog::UdpSender::Open("127.0.0.1", front->port_of(0));
@@ -121,10 +100,9 @@ TEST(WireFrontTest, DeliversBatchesAndCountsPerListener) {
 TEST(WireFrontTest, MaxCapIsExact) {
   // A capped PollOnce must deliver at most `max` datagrams and leave the
   // rest queued — the host's --max-datagrams contract depends on it.
-  WireOptions options;
-  options.batch = 64;  // batch larger than the cap: the cap must win
+  // The recvmmsg batch (64) is larger than the cap: the cap must win.
   std::string error;
-  auto front = WireFront::Open(options, {TenantPort{}}, &error);
+  auto front = WireFront::Open(WireOptions{}, {TenantPort{}}, &error);
   ASSERT_NE(front, nullptr) << error;
   auto sender = syslog::UdpSender::Open("127.0.0.1", front->port_of(0));
   ASSERT_TRUE(sender.has_value());
@@ -231,7 +209,7 @@ TEST(WireFrontTest, KernelDropAccountingClosesTheLedger) {
       << "a 512 KiB burst into a ~4 KiB buffer must drop";
 }
 
-// ---- Backend parity --------------------------------------------------------
+// ---- Ingest-path parity ----------------------------------------------------
 
 struct ParityFixture {
   sim::Dataset history;
@@ -299,7 +277,7 @@ std::vector<std::string> RunEngine(const ParityFixture& fx, std::size_t shards,
   }
   for (auto& ev : eng.Finish()) events.push_back(ev.Format());
   // Events close on the merge thread at shards > 1; sort for a stable
-  // comparison across shard counts and backends.
+  // comparison across shard counts and ingest paths.
   std::sort(events.begin(), events.end());
   return events;
 }
@@ -318,7 +296,7 @@ TEST(WireFrontParityTest, AllBackendsByteIdenticalEventLogs) {
         });
     ASSERT_GT(want.size(), 0u);
 
-    // Legacy backend: the one-datagram-per-poll UdpReceiver path.
+    // Legacy receive path: the one-datagram-per-poll UdpReceiver loop.
     {
       auto receiver = syslog::UdpReceiver::Bind(0);
       ASSERT_TRUE(receiver.has_value());
@@ -334,16 +312,10 @@ TEST(WireFrontParityTest, AllBackendsByteIdenticalEventLogs) {
       EXPECT_EQ(got, want) << "legacy receive path diverged";
     }
 
-    // Wire-front backends: poll always; uring when this host supports it.
-    std::vector<Backend> backends{Backend::kPoll};
-    if (UringSupported()) backends.push_back(Backend::kUring);
-    for (const Backend backend : backends) {
-      SCOPED_TRACE(BackendName(backend));
-      WireOptions options;
-      options.backend = backend;
-      options.batch = 16;
+    // The wire front: poll + batched recvmmsg.
+    {
       std::string error;
-      auto front = WireFront::Open(options, {TenantPort{}}, &error);
+      auto front = WireFront::Open(WireOptions{}, {TenantPort{}}, &error);
       ASSERT_NE(front, nullptr) << error;
       auto sender = syslog::UdpSender::Open("127.0.0.1", front->port_of(0));
       ASSERT_TRUE(sender.has_value());
@@ -359,48 +331,6 @@ TEST(WireFrontParityTest, AllBackendsByteIdenticalEventLogs) {
       EXPECT_EQ(got, want) << "wire front diverged";
     }
   }
-}
-
-// Buffer-ring exhaustion and wrap: blast more datagrams than the uring
-// buffer ring holds, drain, and repeat so every ring slot is recycled
-// several times over.  Runs only where the kernel supports io_uring.
-TEST(WireFrontTest, UringBufferRingExhaustionAndWrap) {
-  if (!UringSupported()) GTEST_SKIP() << "io_uring unsupported here";
-  WireOptions options;
-  options.backend = Backend::kUring;
-  options.ring_buffers = 8;  // tiny ring: bursts exhaust it immediately
-  options.ring_buffer_bytes = 2048;
-  std::string error;
-  auto front = WireFront::Open(options, {TenantPort{}}, &error);
-  ASSERT_NE(front, nullptr) << error;
-  ASSERT_EQ(front->backend(), Backend::kUring);
-  auto sender = syslog::UdpSender::Open("127.0.0.1", front->port_of(0));
-  ASSERT_TRUE(sender.has_value());
-
-  std::set<std::string> seen;
-  const WireFront::Sink sink = [&](std::size_t, std::string_view datagram) {
-    seen.emplace(datagram);
-  };
-  // Four generations of 32 frames against an 8-buffer ring: the ring
-  // must starve (ENOBUFS terminates the multishot arm), recycle, re-arm,
-  // and wrap its buffer ids many times without losing integrity.
-  const auto deadline = Deadline(120);
-  for (int gen = 0; gen < 4; ++gen) {
-    const std::size_t target = (gen + 1) * 32;
-    while (seen.size() < target) {
-      ASSERT_LT(Clock::now(), deadline);
-      for (std::size_t i = gen * 32; i < target; ++i) {
-        const std::string frame = "gen frame " + std::to_string(i);
-        if (seen.count(frame) == 0) ASSERT_TRUE(sender->Send(frame));
-      }
-      std::ptrdiff_t got;
-      do {
-        got = front->PollOnce(100, 0, sink);
-        ASSERT_NE(got, WireFront::kError);
-      } while (got > 0);
-    }
-  }
-  EXPECT_EQ(seen.size(), 128u);
 }
 
 }  // namespace

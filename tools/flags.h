@@ -42,6 +42,13 @@ class Flags {
 
   bool ok() const { return ok_; }
   bool Has(const std::string& name) const { return values_.count(name); }
+  // Every flag name given, once each, in sorted order.
+  std::vector<std::string> Names() const {
+    std::vector<std::string> names;
+    names.reserve(values_.size());
+    for (const auto& [name, values] : values_) names.push_back(name);
+    return names;
+  }
   // A repeated flag keeps every value (GetAll); the scalar accessors see
   // the last occurrence, the usual CLI override convention.
   std::string Get(const std::string& name,

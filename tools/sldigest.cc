@@ -41,12 +41,12 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "ckpt/event_codec.h"
 #include "ckpt/eventlog.h"
-#include "common/simd.h"
 #include "core/learn.h"
 #include "core/priority/report.h"
 #include "engine/engine.h"
@@ -65,45 +65,18 @@ namespace {
 using namespace sld;
 using tools::Flags;
 
-// --simd LEVEL pins the kernel dispatch level before any command runs
-// (the SLD_SIMD env var was already applied at static init; the flag
-// wins).  Unknown names are fatal, unlike the env var, because a typo'd
-// flag is an operator error; a level above the host's capability clamps
-// down with a warning so scripts can ask for avx2 unconditionally.
-int ApplySimdFlag(const Flags& flags) {
-  if (!flags.Has("simd")) return 0;
-  const std::string name = flags.Get("simd");
-  if (name == "native" || name == "auto") {
-    simd::SetLevel(simd::MaxSupported());
-    return 0;
-  }
-  const auto want = simd::LevelFromName(name);
-  if (!want) {
-    std::fprintf(stderr, "--simd %s: want scalar|sse2|avx2|native\n",
-                 name.c_str());
-    return 2;
-  }
-  const simd::Level got = simd::SetLevel(*want);
-  if (got != *want) {
-    std::fprintf(stderr, "--simd %s not supported on this cpu; using %s\n",
-                 name.c_str(), simd::LevelName(got));
-  }
-  return 0;
-}
-
-// Records the active dispatch level in metrics snapshots (gauge value is
-// the numeric simd::Level: 0=scalar 1=sse2 2=avx2).
-void RecordSimdLevel(obs::Registry* reg) {
-  if (reg == nullptr) return;
-  reg->AddGauge("simd_level",
-                "Active SIMD dispatch level (0=scalar 1=sse2 2=avx2)")
-      ->Set(static_cast<std::int64_t>(simd::ActiveLevel()));
-}
-
-// One startup line so serve/stream logs record what actually ran.
-void LogSimdLevel() {
-  std::fprintf(stderr, "simd: %s\n", simd::LevelName(simd::ActiveLevel()));
-}
+// Every flag some command parses.  main() rejects any other flag, so a
+// typo (--shard for --shards) or a retired flag fails loudly instead of
+// being ignored.
+constexpr std::string_view kKnownFlags[] = {
+    "checkpoint-dir", "checkpoint-interval-s", "configs", "csv",
+    "dataset", "day0", "days", "dedup", "history", "hold-ms", "host",
+    "idle-close-s", "idle-exit-s", "in", "ingest-threads", "kb",
+    "learn-threads", "listeners", "max-datagrams", "metrics-interval-s",
+    "metrics-out", "out", "pace-us", "port", "pump-threads", "report",
+    "seed", "shards", "stats", "sweep", "tenant", "threads", "top",
+    "window-s", "year",
+};
 
 // Shared --metrics-out handling: when the flag is set, snapshots of `reg`
 // are written to PATH (JSON) and PATH.prom (Prometheus text).  Periodic()
@@ -212,7 +185,6 @@ int CmdLearn(Flags& flags) {
   const core::LocationDict dict = core::LocationDict::Build(parsed_configs);
   obs::Registry metrics;
   MetricsWriter metrics_out(flags, &metrics);
-  RecordSimdLevel(metrics_out.enabled() ? &metrics : nullptr);
   std::size_t malformed = 0;
   bool ok = true;
   const auto records = ReadRecordsCli(
@@ -252,7 +224,6 @@ int CmdDigest(Flags& flags) {
   if (!flags.ok()) return 2;
   obs::Registry metrics;
   MetricsWriter metrics_out(flags, &metrics);
-  RecordSimdLevel(metrics_out.enabled() ? &metrics : nullptr);
   engine::EngineOptions opts;
   opts.shards =
       static_cast<std::size_t>(std::max(1L, flags.GetInt("threads", 1)));
@@ -299,8 +270,6 @@ int CmdStream(Flags& flags) {
   obs::Registry metrics;
   MetricsWriter metrics_out(flags, &metrics);
   const bool want_metrics = metrics_out.enabled() || flags.Has("stats");
-  LogSimdLevel();
-  RecordSimdLevel(want_metrics ? &metrics : nullptr);
   engine::EngineOptions opts;
   opts.shards =
       static_cast<std::size_t>(std::max(1L, flags.GetInt("threads", 1)));
@@ -345,8 +314,6 @@ int CmdStream(Flags& flags) {
 int CmdServe(Flags& flags) {
   obs::Registry metrics;
   MetricsWriter metrics_out(flags, &metrics);
-  LogSimdLevel();
-  RecordSimdLevel(metrics_out.enabled() ? &metrics : nullptr);
   engine::EngineOptions base;
   base.shards =
       static_cast<std::size_t>(std::max(1L, flags.GetInt("shards", 1)));
@@ -415,20 +382,11 @@ int CmdServe(Flags& flags) {
     std::fprintf(stderr, "--listeners must be in [1, 64]\n");
     return 2;
   }
-  if (const std::string name = flags.Get("wire"); !name.empty()) {
-    wire.backend = wirefront::BackendFromName(name);
-    if (!wire.backend.has_value()) {
-      std::fprintf(stderr, "--wire must be poll or uring, not '%s'\n",
-                   name.c_str());
-      return 2;
-    }
-  }
   if (!host.BindAll(wire, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  std::fprintf(stderr, "wire front: %s backend, %d listener(s)/tenant\n",
-               wirefront::BackendName(host.front()->backend()),
+  std::fprintf(stderr, "wire front: %d listener(s)/tenant\n",
                host.front()->listeners_per_tenant());
   // One mutex serializes event lines across tenants; each tenant's own
   // subsequence stays its deterministic close order.  Multi-tenant lines
@@ -603,13 +561,9 @@ void Usage() {
       "          [--shards N] [--pump-threads N] [--hold-ms N] "
       "[--idle-close-s N]\n"
       "          [--max-datagrams N] [--idle-exit-s N] [--dedup]\n"
-      "          [--listeners K] [--wire poll|uring]\n"
+      "          [--listeners K]\n"
       "          --listeners K fans each tenant port over K SO_REUSEPORT\n"
-      "          sockets; --wire picks the drain backend (default: uring "
-      "when\n"
-      "          liburing+kernel support it, else batched recvmmsg; env "
-      "SLD_WIRE\n"
-      "          overrides)\n"
+      "          sockets, drained with batched recvmmsg\n"
       "          [--checkpoint-dir DIR] [--checkpoint-interval-s N]\n"
       "          --checkpoint-dir restores state at start and snapshots "
       "every N\n"
@@ -633,11 +587,7 @@ void Usage() {
       "    stream/replay; N=0: one per core; same records at any N)\n"
       "  --threads / --shards N digests with N shard workers (N=1 runs "
       "inline;\n"
-      "    same events at any N)\n"
-      "  --simd scalar|sse2|avx2|native pins the byte-kernel dispatch "
-      "level\n"
-      "    (default: autodetect; env SLD_SIMD sets the default; output is\n"
-      "    identical at every level)\n",
+      "    same events at any N)\n",
       stderr);
 }
 
@@ -650,7 +600,13 @@ int main(int argc, char** argv) {
   }
   const std::string cmd = argv[1];
   Flags flags(argc, argv, 2);
-  if (const int rc = ApplySimdFlag(flags); rc != 0) return rc;
+  for (const std::string& name : flags.Names()) {
+    if (std::find(std::begin(kKnownFlags), std::end(kKnownFlags), name) ==
+        std::end(kKnownFlags)) {
+      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+      return 2;
+    }
+  }
   if (cmd == "gen") return CmdGen(flags);
   if (cmd == "learn") return CmdLearn(flags);
   if (cmd == "digest") return CmdDigest(flags);
