@@ -2,7 +2,10 @@
 // syslog".  Online digest throughput of one day, in messages/second: a
 // pipeline shard sweep (shards=1 runs inline, no threads) plus
 // Engine-vs-direct-pipeline rep pairs, written to BENCH_throughput.json.
-// Template learning and rule mining are timed per phase by bench_learn.
+// The sweep run also digests a dense leg at shards=1: slgen's message
+// mix from 20 routers absent from the configs, whose rule windows hold
+// about a thousand entries each.  Template learning and rule mining are
+// timed per phase by bench_learn.
 //
 //   bench_throughput                 # sweep 1/2/4/8
 //   bench_throughput --threads 4     # one sharded measurement
@@ -12,7 +15,11 @@
 //                                    # CI smoke: per-rep rates for the
 //                                    # bench_gate noise model
 //   bench_throughput --learn-threads 4   # parallel fixture learning
+#include <sys/socket.h>
+#include <sys/uio.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -24,8 +31,10 @@
 
 #include "common.h"
 #include "engine/engine.h"
+#include "loadgen/loadgen.h"
 #include "obs/registry.h"
 #include "pipeline/pipeline.h"
+#include "syslog/wire.h"
 
 using namespace sld;
 
@@ -38,6 +47,32 @@ int g_learn_threads = 1;
 // Keeps each run's result observable so the work cannot be elided.
 volatile std::size_t g_events_sink = 0;
 
+// The dense leg: 20 unconfigured routers at 200 messages per virtual
+// second, 200 virtual seconds, so the 120 s rule windows fill to about
+// 1,200 entries.
+constexpr int kDenseRouters = 20;
+constexpr std::int64_t kDenseMsgsPerVsec = 200;
+constexpr std::uint64_t kDenseMessages = 40000;
+
+std::vector<syslog::SyslogRecord> DenseRecords(TimeMs epoch) {
+  loadgen::StreamOptions opts;
+  opts.seed = 1;
+  opts.routers = kDenseRouters;
+  opts.msgs_per_vsec = kDenseMsgsPerVsec;
+  opts.epoch = epoch;
+  std::atomic<std::uint64_t> cursor{0};
+  loadgen::Stream stream(opts, &cursor, kDenseMessages);
+  std::vector<syslog::SyslogRecord> records;
+  records.reserve(kDenseMessages);
+  while (stream.RenderRound() > 0) {
+    for (const loadgen::WireSlot& slot : stream.wire_slots()) {
+      auto rec = syslog::DecodeRfc3164(stream.SlotPayload(slot), 2009);
+      if (rec.has_value()) records.push_back(std::move(*rec));
+    }
+  }
+  return records;
+}
+
 struct Fixture {
   Fixture() {
     core::OfflineLearnerParams params;
@@ -45,8 +80,10 @@ struct Fixture {
     params.threads = g_learn_threads;
     p = bench::BuildPipeline(sim::DatasetASpec(), g_learn_days, 1, nullptr,
                              &params);
+    dense = DenseRecords(p.live.messages.front().time);
   }
   bench::Pipeline p;
+  std::vector<syslog::SyslogRecord> dense;
 };
 
 Fixture& Shared() {
@@ -54,19 +91,35 @@ Fixture& Shared() {
   return fixture;
 }
 
-// One full live day through the sharded pipeline; returns seconds.
-double RunSharded(Fixture& f, std::size_t threads,
-                  obs::Registry* metrics = nullptr) {
+// `records` through the sharded pipeline; returns seconds.
+double RunRecords(Fixture& f, const std::vector<syslog::SyslogRecord>& records,
+                  std::size_t threads, obs::Registry* metrics = nullptr) {
   pipeline::PipelineOptions opts;
   opts.shards = threads;
   opts.metrics = metrics;
   pipeline::ShardedPipeline p(&f.p.kb, &f.p.dict, opts);
   const auto start = std::chrono::steady_clock::now();
-  for (const auto& rec : f.p.live.messages) p.Push(rec);
+  for (const auto& rec : records) p.Push(rec);
   const core::DigestResult result = p.Finish();
   const auto stop = std::chrono::steady_clock::now();
   g_events_sink = result.events.size();
   return std::chrono::duration<double>(stop - start).count();
+}
+
+// One full live day through the sharded pipeline; returns seconds.
+double RunSharded(Fixture& f, std::size_t threads,
+                  obs::Registry* metrics = nullptr) {
+  return RunRecords(f, f.p.live.messages, threads, metrics);
+}
+
+// Per-rep msgs/sec of the dense leg at shards=1.
+std::vector<double> MeasureDenseReps(Fixture& f, int reps) {
+  std::vector<double> rates;
+  for (int rep = 0; rep < reps; ++rep) {
+    rates.push_back(static_cast<double>(f.dense.size()) /
+                    RunRecords(f, f.dense, 1));
+  }
+  return rates;
 }
 
 // Per-rep wall-clock messages/second at a given shard count; the summary
@@ -133,6 +186,7 @@ struct SweepPoint {
 void WriteSweepJson(const std::string& path, std::size_t messages,
                     int learn_days, const std::vector<SweepPoint>& sweep,
                     const EngineCompare* engine,
+                    const std::vector<double>* dense,
                     const obs::MetricsSnapshot& metrics) {
   std::ofstream out(path);
   // cpus matters for reading the sweep: speedup is bounded by the cores
@@ -165,6 +219,18 @@ void WriteSweepJson(const std::string& path, std::size_t messages,
     out << "], \"driver_reps\": [";
     for (std::size_t r = 0; r < engine->driver_reps.size(); ++r) {
       out << (r != 0 ? ", " : "") << engine->driver_reps[r];
+    }
+    out << "]},\n";
+  }
+  // The dense leg: bench_gate compares its rate with this run's own
+  // threads=1 sweep rate, a ratio that does not depend on the host.
+  if (dense != nullptr) {
+    out << "  \"dense\": {\"routers\": " << kDenseRouters
+        << ", \"msgs_per_vsec\": " << kDenseMsgsPerVsec
+        << ", \"messages\": " << kDenseMessages
+        << ", \"msgs_per_sec\": " << BestOf(*dense) << ", \"reps\": [";
+    for (std::size_t r = 0; r < dense->size(); ++r) {
+      out << (r != 0 ? ", " : "") << (*dense)[r];
     }
     out << "]},\n";
   }
@@ -221,7 +287,7 @@ int main(int argc, char** argv) {
     RunSharded(f, static_cast<std::size_t>(threads), &metrics);
     WriteSweepJson(json, f.p.live.messages.size(), g_learn_days,
                    {{static_cast<std::size_t>(threads), rates}}, nullptr,
-                   metrics.Collect());
+                   nullptr, metrics.Collect());
     return 0;
   }
 
@@ -236,10 +302,12 @@ int main(int argc, char** argv) {
   std::printf("engine threads=%zu msgs_per_sec=%.0f (driver %.0f)\n",
               engine.threads, BestOf(engine.reps),
               BestOf(engine.driver_reps));
+  const std::vector<double> dense = MeasureDenseReps(f, reps);
+  std::printf("dense threads=1 msgs_per_sec=%.0f\n", BestOf(dense));
   obs::Registry metrics;
   RunSharded(f, sweep.back().threads, &metrics);
   WriteSweepJson(json, f.p.live.messages.size(), g_learn_days, sweep, &engine,
-                 metrics.Collect());
+                 &dense, metrics.Collect());
   std::printf("wrote %s\n", json.c_str());
   return 0;
 }

@@ -140,7 +140,11 @@ RuleBase::UpdateResult RuleBase::Update(const MiningStats& stats,
       doomed.push_back(key);
     }
   }
-  for (const std::uint64_t key : doomed) rules_.erase(key);
+  for (const std::uint64_t key : doomed) {
+    const Rule& rule = rules_.at(key);
+    Unlink(rule.a, rule.b);
+    rules_.erase(key);
+  }
   result.deleted = doomed.size();
 
   // Addition.
@@ -148,6 +152,7 @@ RuleBase::UpdateResult RuleBase::Update(const MiningStats& stats,
     const std::uint64_t key = MiningStats::PairKey(rule.a, rule.b);
     const auto [it, inserted] = rules_.emplace(key, rule);
     if (inserted) {
+      Link(rule.a, rule.b);
       ++result.added;
     } else {
       const bool expert = it->second.expert;
@@ -166,11 +171,36 @@ void RuleBase::AddExpertRule(TemplateId a, TemplateId b) {
   rule.expert = true;
   const auto [it, inserted] =
       rules_.emplace(MiningStats::PairKey(a, b), rule);
-  if (!inserted) it->second.expert = true;
+  if (inserted) {
+    Link(a, b);
+  } else {
+    it->second.expert = true;
+  }
 }
 
 bool RuleBase::RemoveRule(TemplateId a, TemplateId b) {
-  return rules_.erase(MiningStats::PairKey(a, b)) > 0;
+  if (rules_.erase(MiningStats::PairKey(a, b)) == 0) return false;
+  Unlink(a, b);
+  return true;
+}
+
+void RuleBase::Link(TemplateId a, TemplateId b) {
+  const auto add = [this](TemplateId from, TemplateId to) {
+    if (from >= adjacency_.size()) adjacency_.resize(from + 1);
+    std::vector<TemplateId>& list = adjacency_[from];
+    list.insert(std::lower_bound(list.begin(), list.end(), to), to);
+  };
+  add(a, b);
+  if (a != b) add(b, a);
+}
+
+void RuleBase::Unlink(TemplateId a, TemplateId b) {
+  const auto drop = [this](TemplateId from, TemplateId to) {
+    std::vector<TemplateId>& list = adjacency_[from];
+    list.erase(std::lower_bound(list.begin(), list.end(), to));
+  };
+  drop(a, b);
+  if (a != b) drop(b, a);
 }
 
 std::vector<Rule> RuleBase::All() const {
@@ -225,7 +255,10 @@ RuleBase RuleBase::Deserialize(std::string_view text,
     rule.support = std::strtod(std::string(fields[3]).c_str(), nullptr);
     rule.confidence = std::strtod(std::string(fields[4]).c_str(), nullptr);
     rule.expert = fields.size() >= 6 && fields[5] == "expert";
-    base.rules_.emplace(MiningStats::PairKey(rule.a, rule.b), rule);
+    if (base.rules_.emplace(MiningStats::PairKey(rule.a, rule.b), rule)
+            .second) {
+      base.Link(rule.a, rule.b);
+    }
   }
   return base;
 }

@@ -88,6 +88,12 @@ class RuleBase {
   bool Has(TemplateId a, TemplateId b) const {
     return rules_.count(MiningStats::PairKey(a, b)) != 0;
   }
+  // Every template sharing a rule with `t`, ascending; a self-rule lists
+  // `t` itself.  Rule grouping visits only these templates' windows.
+  std::span<const TemplateId> Neighbors(TemplateId t) const {
+    if (t >= adjacency_.size()) return {};
+    return adjacency_[t];
+  }
   std::size_t size() const noexcept { return rules_.size(); }
   std::vector<Rule> All() const;
 
@@ -113,7 +119,14 @@ class RuleBase {
   // the admission threshold (conservative deletion, §4.1.4).
   static constexpr double kDeletionMargin = 0.75;
 
+  // Keep adjacency_ in step with rules_: every insert links the pair,
+  // every erase unlinks it.
+  void Link(TemplateId a, TemplateId b);
+  void Unlink(TemplateId a, TemplateId b);
+
   std::unordered_map<std::uint64_t, Rule> rules_;
+  // Template id -> Neighbors(), sorted.
+  std::vector<std::vector<TemplateId>> adjacency_;
 };
 
 }  // namespace sld::core

@@ -75,17 +75,29 @@ class TemporalStage {
 // Pass 2 (§4.2.2): different templates on the same router related by a
 // mined association rule, spatially matched, within the mining window W.
 // Per-router sliding windows, so shardable.
+//
+// Each router's window is one arrival-order deque (eviction and the
+// snapshot walk it) plus, per template with entries in the window, the
+// entries' positions.  A message visits only the position lists of its
+// template's rule neighbours, and each list carries a *join*: the latest
+// message that matched every entry of the list's prefix, all of one
+// spatial scope.  A later message of that scope emits one edge to the
+// joiner instead of one per prefix entry, so a storm costs O(rule
+// degree) per message, not O(window).  DESIGN.md §7 states the invariants
+// that keep the partition identical to the per-entry scan.
 class RuleStage {
  public:
   RuleStage(const core::RuleBase* rules, TimeMs window_ms,
             const core::LocationDict* dict)
       : rules_(rules), window_ms_(window_ms), dict_(dict) {}
 
-  // Appends an edge per rule hit and the fired rule's pair key.
+  // Appends the merge edges for `msg` and the pair key of every rule it
+  // fired (once per neighbour template with a match).
   void Feed(const core::Augmented& msg, std::vector<MergeEdge>* out,
             std::vector<std::uint64_t>* fired_rules);
 
   // Checkpointing: one router's sliding window, entries oldest-first.
+  // Joins are not saved; after a restore, a list's first visit scans it.
   struct EntrySnapshot {
     std::uint64_t seq = 0;
     TimeMs time = 0;
@@ -100,17 +112,51 @@ class RuleStage {
   void ImportWindow(const WindowSnapshot& snap);
 
  private:
+  // Messages of one scope always pass the spatial check against each
+  // other: both without locations, or both led by the same router-level
+  // location (SpatiallyMatched(x, x) holds).  kNoScope: check per entry.
+  using Scope = std::uint32_t;
+  static constexpr Scope kNoScope = core::kNoId;
+  static constexpr Scope kNoLocations = core::kNoId - 1;
+
   struct Entry {
     std::size_t seq;
     TimeMs time;
     core::TemplateId tmpl;
+    Scope scope;
     std::vector<core::LocationId> locs;
   };
+  // One template's entries in a router's window, oldest first, as
+  // absolute window positions pos[head..).  The first `joined` of them
+  // all have scope `scope`, and `joiner` was merged with the newest of
+  // them while it was open, so the joiner's group holds every one that
+  // is still open.
+  struct TemplateList {
+    std::vector<std::uint64_t> pos;
+    std::size_t head = 0;
+    std::size_t joined = 0;
+    std::size_t joiner = 0;
+    Scope scope = kNoScope;
+  };
+  struct Window {
+    std::deque<Entry> entries;
+    std::uint64_t base = 0;  // absolute position of entries.front()
+    std::unordered_map<core::TemplateId, TemplateList> lists;
+  };
+
+  Scope ScopeOf(const std::vector<core::LocationId>& locs) const;
+  bool Matched(const core::Augmented& msg, Scope scope,
+               const Entry& other) const;
+  void Append(Window& window, Entry entry);
+  void Evict(Window& window, TimeMs now);
 
   const core::RuleBase* rules_;
   TimeMs window_ms_;
   const core::LocationDict* dict_;
-  std::unordered_map<std::uint32_t, std::deque<Entry>> windows_;
+  std::unordered_map<std::uint32_t, Window> windows_;
+  // Entries below this sequence number were restored: a Flush before the
+  // snapshot may have closed them, so no join may rest on them.
+  std::size_t live_seq_ = 0;
 };
 
 // Pass 3 (§4.2.3): the same template on connected locations of different
@@ -132,21 +178,25 @@ class CrossRouterStage {
            msg.time - window_.front().time > window_ms_) {
       window_.pop_front();
     }
-    for (const Entry& other : window_) {
-      if (other.tmpl != msg.tmpl) continue;
-      if (other.router_key == msg.router_key) continue;
-      if (same_group(msg.raw_index, other.seq)) continue;
-      bool connected = false;
-      for (const core::LocationId la : msg.locs) {
-        for (const core::LocationId lb : other.locs) {
-          if (dict_->Connected(la, lb)) {
-            connected = true;
-            break;
+    // A message without locations is Connected to nothing: it only joins
+    // the window.
+    if (!msg.locs.empty()) {
+      for (const Entry& other : window_) {
+        if (other.tmpl != msg.tmpl) continue;
+        if (other.router_key == msg.router_key) continue;
+        if (same_group(msg.raw_index, other.seq)) continue;
+        bool connected = false;
+        for (const core::LocationId la : msg.locs) {
+          for (const core::LocationId lb : other.locs) {
+            if (dict_->Connected(la, lb)) {
+              connected = true;
+              break;
+            }
           }
+          if (connected) break;
         }
-        if (connected) break;
+        if (connected) out->push_back({msg.raw_index, other.seq});
       }
-      if (connected) out->push_back({msg.raw_index, other.seq});
     }
     window_.push_back(
         {msg.raw_index, msg.time, msg.tmpl, msg.router_key, msg.locs});

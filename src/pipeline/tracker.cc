@@ -7,12 +7,6 @@
 #include "obs/registry.h"
 
 namespace sld::pipeline {
-namespace {
-
-// Sweep for idle groups at most this often (stream-clock time).
-constexpr TimeMs kSweepInterval = 30 * kMsPerSecond;
-
-}  // namespace
 
 GroupTracker::GroupTracker(const core::KnowledgeBase* kb,
                            const core::LocationDict* dict,
@@ -53,9 +47,12 @@ void GroupTracker::SyncGauges() noexcept {
 
 std::vector<core::DigestEvent> GroupTracker::Observe(TimeMs now) {
   std::vector<core::DigestEvent> events;
-  if (now >= clock_ + kSweepInterval) {
-    events = CloseIdle(now, /*flushing=*/false);
-  }
+  // Saturates: a snapshot that an older build took after Flush carries
+  // the sentinel clock INT64_MAX - idle - 1.
+  const TimeMs due = clock_ > INT64_MAX - kSweepIntervalMs
+                         ? INT64_MAX
+                         : clock_ + kSweepIntervalMs;
+  if (now >= due) events = CloseIdle(now, /*flushing=*/false);
   clock_ = std::max(clock_, now);
   return events;
 }
@@ -187,7 +184,6 @@ std::vector<core::DigestEvent> GroupTracker::CloseIdle(TimeMs now,
 }
 
 std::vector<core::DigestEvent> GroupTracker::Flush() {
-  clock_ = INT64_MAX - idle_close_ms_ - 1;
   std::vector<core::DigestEvent> events =
       CloseIdle(INT64_MAX - 1, /*flushing=*/true);
   CompactArena();

@@ -42,6 +42,10 @@ class GroupTracker {
  public:
   // An idle horizon that never closes a group before Flush (batch mode).
   static constexpr TimeMs kUnboundedMs = INT64_MAX / 4;
+  // Sweeps run only when the stream clock has advanced this far since the
+  // last observed message, so no group closes between two messages less
+  // than this far apart (RuleStage's joins rely on it).
+  static constexpr TimeMs kSweepIntervalMs = 30 * kMsPerSecond;
 
   // `kb_mutex`, when given, is reader-locked around event building: the
   // sharded pipeline's workers may grow the template set (catch-all
@@ -73,6 +77,8 @@ class GroupTracker {
   void NoteRules(const std::vector<std::uint64_t>& keys);
 
   // Closes every open group (end of stream); events ordered by start.
+  // The stream clock keeps the last observed time, so a tracker restored
+  // from a snapshot taken after Flush sweeps as the stream continues.
   std::vector<core::DigestEvent> Flush();
 
   // Registers tracker metrics (tracker_* series) with `reg`: open-group /

@@ -8,9 +8,16 @@
 // event log ends up byte-identical to an uninterrupted run — at any
 // combination of crash-side and restore-side shard counts, because
 // snapshots are canonical over the stage graph, not over the sharding.
+// The dense instantiations replay slgen's message mix from routers absent
+// from the configs, where every rule window is a storm of location-free
+// messages.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -25,8 +32,10 @@
 #include "ckpt/snapshot.h"
 #include "core/learn.h"
 #include "engine/engine.h"
+#include "loadgen/loadgen.h"
 #include "net/config_parser.h"
 #include "sim/generator.h"
+#include "syslog/wire.h"
 
 namespace sld::engine {
 namespace {
@@ -54,6 +63,37 @@ struct World {
 
 World& SharedWorld() {
   static World world;
+  return world;
+}
+
+// The same network and KB, live traffic replaced by six loadgen bursts
+// from 10 unconfigured routers at 200 messages per virtual second, 2,000
+// messages each, 130 s apart: every burst fills the rule windows with
+// location-free messages, and the gap lets the idle sweep close the
+// burst's events before the next one, inside the crash window.
+struct DenseWorld : World {
+  DenseWorld() {
+    live.messages.clear();
+    for (int burst = 0; burst < 6; ++burst) {
+      loadgen::StreamOptions opts;
+      opts.seed = 903 + static_cast<std::uint64_t>(burst);
+      opts.routers = 10;
+      opts.msgs_per_vsec = 200;
+      opts.epoch = sim::DatasetEpoch() + 3 * kMsPerDay + burst * 130 * 1000;
+      std::atomic<std::uint64_t> cursor{0};
+      loadgen::Stream stream(opts, &cursor, 2000);
+      while (stream.RenderRound() > 0) {
+        for (const loadgen::WireSlot& slot : stream.wire_slots()) {
+          auto rec = syslog::DecodeRfc3164(stream.SlotPayload(slot), 2009);
+          if (rec.has_value()) live.messages.push_back(std::move(*rec));
+        }
+      }
+    }
+  }
+};
+
+World& SharedDenseWorld() {
+  static DenseWorld world;
   return world;
 }
 
@@ -180,13 +220,22 @@ std::vector<std::string> RunRestart(World& w, std::size_t shards,
   return DumpLog(dir);
 }
 
-class CkptEquivalence
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
+struct EquivalenceCase {
+  std::size_t crash_shards = 1;
+  std::size_t restore_shards = 1;
+  bool dense = false;
 };
 
+// Prints "(crash, restore)": the instantiation prefix names the world.
+void PrintTo(const EquivalenceCase& c, std::ostream* os) {
+  *os << "(" << c.crash_shards << ", " << c.restore_shards << ")";
+}
+
+class CkptEquivalence : public ::testing::TestWithParam<EquivalenceCase> {};
+
 TEST_P(CkptEquivalence, KillAndRestartMatchesUninterruptedRun) {
-  const auto [crash_shards, restore_shards] = GetParam();
-  World& w = SharedWorld();
+  const auto [crash_shards, restore_shards, dense] = GetParam();
+  World& w = dense ? SharedDenseWorld() : SharedWorld();
   TempDir golden_dir;
   TempDir crash_dir;
   TempDir image_dir;
@@ -205,13 +254,15 @@ TEST_P(CkptEquivalence, KillAndRestartMatchesUninterruptedRun) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shards, CkptEquivalence,
-    ::testing::Values(std::make_tuple(std::size_t{1}, std::size_t{1}),
-                      std::make_tuple(std::size_t{4}, std::size_t{4}),
-                      std::make_tuple(std::size_t{16}, std::size_t{16}),
+    ::testing::Values(EquivalenceCase{1, 1}, EquivalenceCase{4, 4},
+                      EquivalenceCase{16, 16},
                       // Snapshots are canonical: restore at a different
                       // shard count than the crash side ran.
-                      std::make_tuple(std::size_t{4}, std::size_t{1}),
-                      std::make_tuple(std::size_t{1}, std::size_t{16})));
+                      EquivalenceCase{4, 1}, EquivalenceCase{1, 16}));
+
+INSTANTIATE_TEST_SUITE_P(Dense, CkptEquivalence,
+                         ::testing::Values(EquivalenceCase{1, 1, true},
+                                           EquivalenceCase{4, 1, true}));
 
 std::string ReadBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -316,6 +367,61 @@ TEST(CkptEngineTest, CleanShutdownRestoresDrained) {
   eng.Finish();
   EXPECT_EQ(eng.event_count(), total);
   EXPECT_EQ(DumpLog(dir.str()), before);
+}
+
+// A durable engine that checkpointed after a clean Finish, restored and
+// fed the network's next quiet day: returns the events it closed before its
+// own Finish.  The restored tracker must keep sweeping, as a fresh one
+// does; before the fix its clock was Finish's INT64_MAX sentinel, so
+// nothing closed until Finish and, below the 30 s sweep interval, the
+// sweep arithmetic overflowed (the asan-ubsan job runs these tests).
+std::uint64_t EventsStreamedAfterCleanRestart(TimeMs idle_close_ms) {
+  World& w = SharedWorld();
+  EngineOptions opts = DurableOptions(1);
+  opts.idle_close_ms = idle_close_ms;
+  TempDir dir;
+  {
+    core::KnowledgeBase kb = CloneKb(w.kb);
+    Engine eng(&kb, &w.dict, opts);
+    std::string error;
+    EXPECT_TRUE(eng.OpenDurable(dir.str(), &error)) << error;
+    for (const auto& rec : w.live.messages) {
+      eng.IngestRecord(rec);
+      eng.Pump();
+    }
+    eng.Finish();
+    EXPECT_TRUE(eng.Checkpoint(&error)) << error;
+  }
+  // The first whole day after the live day's last record (long events
+  // run past their day's end).
+  TimeMs last = 0;
+  for (const auto& rec : w.live.messages) last = std::max(last, rec.time);
+  const int next = static_cast<int>((last - sim::DatasetEpoch()) / kMsPerDay) + 1;
+  sim::DatasetSpec spec = sim::DatasetASpec();
+  spec.topo.num_routers = 6;
+  const sim::Dataset next_day = sim::GenerateDataset(spec, next, 1, 904);
+  core::KnowledgeBase kb = CloneKb(w.kb);
+  Engine eng(&kb, &w.dict, opts);
+  std::string error;
+  EXPECT_TRUE(eng.OpenDurable(dir.str(), &error)) << error;
+  const std::uint64_t restored = eng.event_count();
+  EXPECT_GT(restored, 0u);
+  for (const auto& rec : next_day.messages) {
+    eng.IngestRecord(rec);
+    eng.Pump();
+  }
+  const std::uint64_t streamed = eng.event_count() - restored;
+  eng.Finish();
+  EXPECT_GT(eng.event_count(), restored);
+  return streamed;
+}
+
+TEST(CkptEngineTest, RestoreAfterFinishClosesEventsMidStream) {
+  EXPECT_GT(EventsStreamedAfterCleanRestart(60 * kMsPerSecond), 0u);
+}
+
+TEST(CkptEngineTest, RestoreAfterFinishAtShortIdleHorizon) {
+  EXPECT_GT(EventsStreamedAfterCleanRestart(10 * kMsPerSecond), 0u);
 }
 
 TEST(CkptEngineTest, CorruptSnapshotRefusesToOpen) {

@@ -275,6 +275,45 @@ TEST(RuleBaseTest, ExpertFlagSurvivesSerialization) {
   EXPECT_TRUE(rules[0].expert);
 }
 
+// Neighbors() lists exactly the templates Has() pairs with, sorted,
+// after every kind of edit.
+void ExpectNeighborsMatchHas(const RuleBase& base, TemplateId max_id) {
+  for (TemplateId t = 0; t <= max_id; ++t) {
+    std::vector<TemplateId> want;
+    for (TemplateId u = 0; u <= max_id; ++u) {
+      if (base.Has(t, u)) want.push_back(u);
+    }
+    const auto got = base.Neighbors(t);
+    EXPECT_EQ(std::vector<TemplateId>(got.begin(), got.end()), want)
+        << "template " << t;
+  }
+}
+
+TEST(RuleBaseTest, NeighborsFollowEveryEdit) {
+  RuleBase base;
+  base.Update(MineCooccurrence(CorrelatedWeek(20), 60000), Params());
+  ASSERT_TRUE(base.Has(1, 2));
+  base.AddExpertRule(4, 1);
+  base.AddExpertRule(3, 3);  // a self-rule lists its template once
+  base.AddExpertRule(2, 4);
+  ExpectNeighborsMatchHas(base, 9);
+  EXPECT_EQ(base.Neighbors(3).size(), 1u);
+  EXPECT_TRUE(base.RemoveRule(2, 4));
+  base.Update(MineCooccurrence(UncorrelatedWeek(25), 60000), Params());
+  EXPECT_FALSE(base.Has(1, 2));  // mined rule deleted, expert rules kept
+  ExpectNeighborsMatchHas(base, 9);
+  EXPECT_TRUE(base.Neighbors(1000).empty());
+
+  TemplateSet templates;
+  for (int i = 0; i < 5; ++i) {
+    templates.Add("T-1-" + std::to_string(i), {"t", std::to_string(i)});
+  }
+  const RuleBase restored =
+      RuleBase::Deserialize(base.Serialize(templates), templates);
+  EXPECT_EQ(restored.size(), 2u);
+  ExpectNeighborsMatchHas(restored, 9);
+}
+
 TEST(MiningStatsTest, EmptyStatsAreSafe) {
   MiningStats stats;
   EXPECT_DOUBLE_EQ(stats.Support(1), 0.0);

@@ -11,23 +11,35 @@
 // the message and active-rule counts, and (finite horizons) how many
 // groups closed for each reason.
 //
+// The dense leg digests slgen's message mix (loadgen::Stream) from
+// routers absent from the configs through the batch path at the same
+// shard counts: no message carries a location, and each router's rule
+// window holds about 1,200 entries, so it pins the storm path that the
+// dataset-A day never reaches.
+//
 // Regenerate only when an event-visible change is intended:
 //   SLD_UPDATE_GOLDEN=1 build/tests/golden_test
 // rewrites tests/engine/golden_events.txt from the 1-shard runs.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/uio.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/learn.h"
 #include "engine/engine.h"
+#include "loadgen/loadgen.h"
 #include "net/config_parser.h"
 #include "obs/registry.h"
 #include "sim/generator.h"
+#include "syslog/wire.h"
 
 namespace sld::engine {
 namespace {
@@ -58,6 +70,32 @@ World& SharedWorld() {
   return world;
 }
 
+// The dense leg's stream: 10 unconfigured routers at 200 messages per
+// virtual second, so each router's 60 s rule window holds about 1,200
+// entries once the stream is a minute old.
+constexpr int kDenseRouters = 10;
+constexpr std::int64_t kDenseMsgsPerVsec = 200;
+constexpr std::uint64_t kDenseMessages = 25000;
+
+std::vector<syslog::SyslogRecord> DenseRecords() {
+  loadgen::StreamOptions opts;
+  opts.seed = 1403;
+  opts.routers = kDenseRouters;
+  opts.msgs_per_vsec = kDenseMsgsPerVsec;
+  opts.epoch = sim::DatasetEpoch() + 3 * kMsPerDay;
+  std::atomic<std::uint64_t> cursor{0};
+  loadgen::Stream stream(opts, &cursor, kDenseMessages);
+  std::vector<syslog::SyslogRecord> records;
+  records.reserve(kDenseMessages);
+  while (stream.RenderRound() > 0) {
+    for (const loadgen::WireSlot& slot : stream.wire_slots()) {
+      auto rec = syslog::DecodeRfc3164(stream.SlotPayload(slot), 2009);
+      if (rec.has_value()) records.push_back(std::move(*rec));
+    }
+  }
+  return records;
+}
+
 // One event per line: "score|start|end|locations|label|N messages".
 // %.17g round-trips a double exactly; the comparison below still allows
 // a relative 1e-12 so a libm with a different last-ulp log() passes.
@@ -74,25 +112,31 @@ struct Golden {
   std::vector<std::string> live;
   std::string horizons_header;
   std::vector<std::string> horizons;
+  std::string dense_header;
+  std::vector<std::string> dense;
 };
 
 constexpr TimeMs kIdleCloseMs = 600 * kMsPerSecond;
 constexpr TimeMs kMaxGroupAgeMs = kMsPerHour;
 
-void RunBatch(std::size_t shards, Golden* golden) {
+// Digests `records` through Engine::Digest; the header names the leg
+// and pins its message, active-rule and event counts.
+void RunBatch(std::size_t shards,
+              std::span<const syslog::SyslogRecord> records,
+              const std::string& leg, std::string* header,
+              std::vector<std::string>* lines) {
   World& w = SharedWorld();
   core::KnowledgeBase kb = core::KnowledgeBase::Deserialize(w.kb_text);
   EngineOptions opts;
   opts.shards = shards;
   Engine eng(&kb, &w.dict, opts);
-  const core::DigestResult result = eng.Digest(w.live.messages);
-  golden->batch_header = "# batch messages=" +
-                         std::to_string(result.message_count) +
-                         " active_rules=" +
-                         std::to_string(result.active_rule_count) +
-                         " events=" + std::to_string(result.events.size());
+  const core::DigestResult result = eng.Digest(records);
+  *header = "# " + leg + " messages=" +
+            std::to_string(result.message_count) + " active_rules=" +
+            std::to_string(result.active_rule_count) +
+            " events=" + std::to_string(result.events.size());
   for (const core::DigestEvent& ev : result.events) {
-    golden->batch.push_back(Line(ev));
+    lines->push_back(Line(ev));
   }
 }
 
@@ -143,10 +187,12 @@ std::vector<std::string> RunLive(std::size_t shards, TimeMs idle_close_ms,
 
 Golden RunBoth(std::size_t shards) {
   Golden g;
-  RunBatch(shards, &g);
+  RunBatch(shards, SharedWorld().live.messages, "batch", &g.batch_header,
+           &g.batch);
   g.live = RunLive(shards, 0, 0, nullptr);
   g.horizons = RunLive(shards, kIdleCloseMs, kMaxGroupAgeMs,
                        &g.horizons_header);
+  RunBatch(shards, DenseRecords(), "dense", &g.dense_header, &g.dense);
   return g;
 }
 
@@ -160,6 +206,8 @@ void WriteGolden(const Golden& g) {
   for (const std::string& line : g.live) out << line << '\n';
   out << g.horizons_header << '\n';
   for (const std::string& line : g.horizons) out << line << '\n';
+  out << g.dense_header << '\n';
+  for (const std::string& line : g.dense) out << line << '\n';
 }
 
 Golden ReadGolden() {
@@ -176,6 +224,9 @@ Golden ReadGolden() {
     } else if (line.rfind("# horizons", 0) == 0) {
       g.horizons_header = line;
       section = &g.horizons;
+    } else if (line.rfind("# dense", 0) == 0) {
+      g.dense_header = line;
+      section = &g.dense;
     } else if (section != nullptr) {
       section->push_back(line);
     }
@@ -214,11 +265,17 @@ TEST_P(GoldenEventsTest, BatchAndLiveMatchGolden) {
   ASSERT_FALSE(want.batch.empty()) << "missing or empty " << GoldenPath();
   ASSERT_FALSE(want.live.empty()) << GoldenPath();
   ASSERT_FALSE(want.horizons.empty()) << GoldenPath();
+  ASSERT_FALSE(want.dense.empty()) << GoldenPath();
   EXPECT_EQ(got.batch_header, want.batch_header);
   EXPECT_EQ(got.horizons_header, want.horizons_header);
+  EXPECT_EQ(got.dense_header, want.dense_header);
   ExpectSameLines(got.batch, want.batch, "batch");
   ExpectSameLines(got.live, want.live, "live");
   ExpectSameLines(got.horizons, want.horizons, "horizons");
+  ExpectSameLines(got.dense, want.dense, "dense");
+  // The dense leg exists to exercise rule grouping under a storm.
+  EXPECT_EQ(got.dense_header.find(" active_rules=0 "), std::string::npos)
+      << got.dense_header;
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, GoldenEventsTest,
