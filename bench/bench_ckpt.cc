@@ -14,6 +14,13 @@
 // covers the other side of the durability hot path: AppendRfc3164 into
 // a reused buffer (the replay/generator encode loop) must not allocate.
 //
+// The event-log leg prices the serve path's durable write.  The events
+// the first sweep point closes are appended into a scratch log one
+// record per commit (one fsync each, the pre-group-commit engine) and
+// in commits of 16 and 256 records, and each commit size reports
+// microseconds per event.  Every batched log must be byte-identical to
+// the per-record one ("eventlog_identical"; the gate refuses false).
+//
 // Open groups are keyed by root location, so their count is bounded by
 // how many distinct spots the workload has touched — not by message
 // volume.  To sweep into the tens of thousands the bench widens the
@@ -24,8 +31,7 @@
 // knowledge base.
 //
 //   bench_ckpt                            # defaults: sweep 1000,10000
-//   bench_ckpt --reps 3 --sweep 1000 --routers 120 --rate-scale 30 \
-//              --live-days 2              # CI smoke
+//   bench_ckpt --reps 3 --sweep 1000 --live-days 1   # CI smoke
 //   bench_ckpt --json=FILE                # default BENCH_ckpt.json
 #include <stdlib.h>
 
@@ -35,9 +41,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
+#include "ckpt/event_codec.h"
+#include "ckpt/eventlog.h"
 #include "common.h"
 #include "engine/engine.h"
 #include "syslog/wire.h"
@@ -99,6 +110,48 @@ std::vector<double> RateReps(const std::vector<double>& seconds,
     rates.push_back(static_cast<double>(groups) / s);
   }
   return rates;
+}
+
+// Event-log commit sizes the leg times; 1 is one fsync per event.
+constexpr std::size_t kCommitSizes[] = {1, 16, 256};
+// Payloads the leg appends at most, so a large sweep point stays quick.
+constexpr std::size_t kMaxLogEvents = 4096;
+
+struct CommitLeg {
+  std::size_t batch = 0;
+  std::vector<double> us_per_event_reps;
+};
+
+// Appends `payloads` into a fresh log at `path` in commits of `batch`
+// records and returns the seconds taken, or a negative value on an I/O
+// error.
+double AppendLog(const std::string& path,
+                 const std::vector<std::string_view>& payloads,
+                 std::size_t batch) {
+  std::filesystem::remove(path);
+  std::string error;
+  ckpt::EventLog::OpenStats stats;
+  auto log = ckpt::EventLog::Open(path, &stats, &error);
+  if (log == nullptr) {
+    std::fprintf(stderr, "FAIL: event log: %s\n", error.c_str());
+    return -1.0;
+  }
+  const std::span<const std::string_view> all(payloads);
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < all.size(); i += batch) {
+    if (!log->AppendBatch(i, all.subspan(i, std::min(batch, all.size() - i)),
+                          nullptr, &error)) {
+      std::fprintf(stderr, "FAIL: event log append: %s\n", error.c_str());
+      return -1.0;
+    }
+  }
+  return Seconds(start);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 // Multiplies every scenario rate (and the uncorrelated noise) by `s`.
@@ -217,6 +270,9 @@ int main(int argc, char** argv) {
 
   bool identical = true;
   std::vector<SweepPoint> points;
+  // Encoded events of the first sweep point's continuation: the payloads
+  // of the event-log leg.
+  std::vector<std::string> log_payloads;
   for (const std::size_t target : sweep) {
     SweepPoint point;
     point.target = target;
@@ -326,6 +382,14 @@ int main(int argc, char** argv) {
       }
     }
 
+    if (log_payloads.empty()) {
+      for (std::size_t i = 0; i < std::min(fa.size(), kMaxLogEvents); ++i) {
+        ckpt::Writer w;
+        ckpt::WriteEvent(fa[i], &w);
+        log_payloads.push_back(std::move(w).Take());
+      }
+    }
+
     const double save_mid = Median(point.save_reps);
     const double restore_mid = Median(point.restore_reps);
     std::printf("%6zu open groups (%zu msgs):  save %8.2f ms  restore "
@@ -338,8 +402,48 @@ int main(int argc, char** argv) {
     points.push_back(std::move(point));
   }
 
+  // Event-log leg: the same payloads at every commit size.  One untimed
+  // pass per size warms the page cache and the file system's metadata.
+  const std::vector<std::string_view> log_views(log_payloads.begin(),
+                                                log_payloads.end());
+  bool eventlog_identical = !log_views.empty();
+  if (log_views.empty()) {
+    std::fprintf(stderr, "FAIL: the sweep closed no events to log\n");
+  }
+  std::vector<CommitLeg> legs;
+  const std::string per_record_log = (scratch / "per_record.log").string();
+  for (const std::size_t batch : kCommitSizes) {
+    if (log_views.empty()) break;
+    CommitLeg leg;
+    leg.batch = batch;
+    const std::string path =
+        (scratch / ("batch_" + std::to_string(batch) + ".log")).string();
+    for (int r = -1; r < reps; ++r) {
+      const double s = AppendLog(path, log_views, batch);
+      if (s < 0) return 1;
+      if (r >= 0) {
+        leg.us_per_event_reps.push_back(
+            s * 1e6 / static_cast<double>(log_views.size()));
+      }
+    }
+    if (batch == 1) {
+      std::filesystem::rename(path, per_record_log);
+    } else if (ReadFile(path) != ReadFile(per_record_log)) {
+      eventlog_identical = false;
+      std::fprintf(stderr,
+                   "FAIL: the log of %zu-record commits differs from the "
+                   "per-record log\n",
+                   batch);
+    }
+    std::printf("event log, %3zu-record commits: %8.2f us/event over %zu "
+                "events\n",
+                batch, Median(leg.us_per_event_reps), log_views.size());
+    legs.push_back(std::move(leg));
+  }
+
   std::ofstream out(json);
   out << "{\n  \"benchmark\": \"ckpt\",\n  \"dataset\": \"A\",\n"
+      << "  \"cpus\": " << std::thread::hardware_concurrency() << ",\n"
       << "  \"shards\": 1,\n"
       << "  \"routers\": " << routers << ",\n"
       << "  \"rate_scale\": " << rate_scale << ",\n"
@@ -370,6 +474,20 @@ int main(int argc, char** argv) {
         << ",\n     \"restore_rate_reps\": " << JsonArray(restore_rates)
         << "}" << (i + 1 < points.size() ? "," : "") << "\n";
   }
+  out << "  ],\n  \"eventlog_identical\": "
+      << (eventlog_identical ? "true" : "false") << ",\n"
+      << "  \"eventlog_events\": " << log_views.size() << ",\n"
+      << "  \"eventlog\": [\n";
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    const CommitLeg& leg = legs[i];
+    char buf[128];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"batch\": %zu, \"us_per_event\": %.6g,\n",
+                  leg.batch, Median(leg.us_per_event_reps));
+    out << buf << "     \"us_per_event_reps\": "
+        << JsonArray(leg.us_per_event_reps) << "}"
+        << (i + 1 < legs.size() ? "," : "") << "\n";
+  }
   out << "  ]\n}\n";
   std::printf("wrote %s\n", json.c_str());
 
@@ -381,5 +499,5 @@ int main(int argc, char** argv) {
                  "buffer\n",
                  encode_allocs_per_msg);
   }
-  return identical && alloc_ok ? 0 : 1;
+  return identical && alloc_ok && eventlog_identical ? 0 : 1;
 }

@@ -99,7 +99,7 @@ double RunRecords(Fixture& f, const std::vector<syslog::SyslogRecord>& records,
   opts.metrics = metrics;
   pipeline::ShardedPipeline p(&f.p.kb, &f.p.dict, opts);
   const auto start = std::chrono::steady_clock::now();
-  for (const auto& rec : records) p.Push(rec);
+  p.Push(records);
   const core::DigestResult result = p.Finish();
   const auto stop = std::chrono::steady_clock::now();
   g_events_sink = result.events.size();

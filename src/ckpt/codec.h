@@ -58,6 +58,8 @@ class Writer {
 
   const std::string& data() const noexcept { return buf_; }
   std::string Take() && noexcept { return std::move(buf_); }
+  // Empties the buffer and keeps its capacity, for a reused writer.
+  void Clear() noexcept { buf_.clear(); }
 
  private:
   template <typename T>

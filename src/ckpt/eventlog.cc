@@ -27,6 +27,13 @@ std::uint32_t GetU32(const char* p) {
   return v;
 }
 
+template <typename T>
+void PutLE(T v, std::string* out) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+  }
+}
+
 std::uint64_t GetU64(const char* p) {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) {
@@ -169,30 +176,36 @@ EventLog::~EventLog() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-bool EventLog::Append(std::uint64_t seq, std::string_view payload,
-                      double* fsync_seconds, std::string* error) {
-  if (seq != next_seq_) {
+bool EventLog::AppendBatch(std::uint64_t first_seq,
+                           std::span<const std::string_view> payloads,
+                           double* fsync_seconds, std::string* error) {
+  if (first_seq != next_seq_) {
     if (error) {
       *error = "event log append out of order: got seq " +
-               std::to_string(seq) + ", expected " + std::to_string(next_seq_);
+               std::to_string(first_seq) + ", expected " +
+               std::to_string(next_seq_);
     }
     return false;
   }
+  if (payloads.empty()) return true;
   // Frame = len, crc(seq ++ payload), seq, payload.
-  std::string seq_and_payload;
-  seq_and_payload.reserve(8 + payload.size());
-  for (int i = 0; i < 8; ++i) {
-    seq_and_payload.push_back(static_cast<char>((seq >> (8 * i)) & 0xFFu));
+  frames_.clear();
+  std::uint64_t seq = first_seq;
+  for (const std::string_view payload : payloads) {
+    const std::size_t at = frames_.size();
+    PutLE(static_cast<std::uint32_t>(payload.size()), &frames_);
+    PutLE(std::uint32_t{0}, &frames_);  // the CRC, filled in below
+    PutLE(seq++, &frames_);
+    frames_.append(payload.data(), payload.size());
+    const std::uint32_t crc =
+        Crc32(std::string_view(frames_).substr(at + 8));
+    for (int i = 0; i < 4; ++i) {
+      frames_[at + 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFFu);
+    }
   }
-  seq_and_payload.append(payload.data(), payload.size());
-  Writer w;
-  w.U32(static_cast<std::uint32_t>(payload.size()));
-  w.U32(Crc32(seq_and_payload));
-  std::string frame = std::move(w).Take();
-  frame += seq_and_payload;
 
-  const char* data = frame.data();
-  std::size_t left = frame.size();
+  const char* data = frames_.data();
+  std::size_t left = frames_.size();
   while (left > 0) {
     const ssize_t n = ::write(fd_, data, left);
     if (n < 0) {
@@ -213,8 +226,14 @@ bool EventLog::Append(std::uint64_t seq, std::string_view payload,
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
   }
-  ++next_seq_;
+  next_seq_ = seq;
   return true;
+}
+
+bool EventLog::Append(std::uint64_t seq, std::string_view payload,
+                      double* fsync_seconds, std::string* error) {
+  return AppendBatch(seq, std::span<const std::string_view>(&payload, 1),
+                     fsync_seconds, error);
 }
 
 bool EventLog::ForEach(

@@ -73,7 +73,7 @@ DigestResult Digester::Digest(std::span<const syslog::SyslogRecord> stream,
   opts.digest = options;
   opts.metrics = metrics_;
   pipeline::ShardedPipeline pipeline(kb_, dict_, opts);
-  for (const syslog::SyslogRecord& rec : stream) pipeline.Push(rec);
+  pipeline.Push(stream);
   return pipeline.Finish();
 }
 

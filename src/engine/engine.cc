@@ -120,44 +120,68 @@ void Engine::EnsureStream() {
   opts.metrics = reg_;
   pipeline_ = std::make_unique<pipeline::ShardedPipeline>(kb_, dict_, opts);
   // Per-tenant event order is the deterministic close order at any shard
-  // count; every event reaches the log (when durable) as it closes.
+  // count; each flush unit reaches the log (when durable) as one commit.
   pipeline_->SetEventSink(
-      [this](core::DigestEvent ev) { DeliverEvent(std::move(ev)); });
+      [this](std::span<core::DigestEvent> events) { DeliverBatch(events); });
 }
 
-void Engine::DeliverEvent(core::DigestEvent ev) {
-  const auto seq = static_cast<std::uint64_t>(
-      events_.fetch_add(1, std::memory_order_relaxed));
+void Engine::DeliverBatch(std::span<core::DigestEvent> events) {
+  std::uint64_t seq = static_cast<std::uint64_t>(
+      events_.fetch_add(events.size(), std::memory_order_relaxed));
   if (seq < replay_cursor_) {
     // Regenerated during post-restore resend and already durably logged
-    // before the crash: the log owns it, never emit it twice.
-    ++replay_suppressed_;
-    if (ckpt_cells_.suppressed != nullptr) ckpt_cells_.suppressed->Inc();
-    return;
+    // before the crash: the log owns them, never emit them twice.  A
+    // unit may straddle the cursor.
+    const std::size_t logged = static_cast<std::size_t>(
+        std::min<std::uint64_t>(replay_cursor_ - seq, events.size()));
+    replay_suppressed_ += logged;
+    if (ckpt_cells_.suppressed != nullptr) ckpt_cells_.suppressed->Inc(logged);
+    events = events.subspan(logged);
+    seq += logged;
   }
-  ObserveEventLatency(ev);
-  if (event_log_ != nullptr) {
-    ckpt::Writer payload;
-    ckpt::WriteEvent(ev, &payload);
+  if (event_log_ != nullptr && !events.empty()) {
+    if (log_payloads_.size() < events.size()) {
+      log_payloads_.resize(events.size());
+    }
+    log_views_.clear();
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      log_payloads_[i].Clear();
+      ckpt::WriteEvent(events[i], &log_payloads_[i]);
+      log_views_.push_back(log_payloads_[i].data());
+    }
     double fsync_s = 0.0;
     std::string err;
-    if (!event_log_->Append(seq, payload.data(), &fsync_s, &err)) {
-      std::fprintf(stderr, "tenant %s: event log append failed: %s\n",
-                   options_.tenant.c_str(), err.c_str());
-    } else if (ckpt_cells_.fsync_seconds != nullptr) {
-      ckpt_cells_.fsync_seconds->Observe(fsync_s);
+    if (event_log_->AppendBatch(seq, log_views_, &fsync_s, &err)) {
+      if (ckpt_cells_.fsync_seconds != nullptr) {
+        ckpt_cells_.fsync_seconds->Observe(fsync_s);
+      }
+    } else {
+      // Reported once per commit; its events are still delivered.  The
+      // log stays at its last good record, so every later commit fails
+      // too and is reported the same way.
+      std::fprintf(stderr,
+                   "tenant %s: event log commit of %zu events failed: %s\n",
+                   options_.tenant.c_str(), events.size(), err.c_str());
+      if (ckpt_cells_.append_failures != nullptr) {
+        ckpt_cells_.append_failures->Inc();
+      }
     }
   }
-  if (sink_) {
-    sink_(ev);
-  } else {
-    collected_.push_back(std::move(ev));
+  for (core::DigestEvent& ev : events) {
+    // After the commit's fsync, so the latency covers the durable write.
+    ObserveEventLatency(ev);
+    if (sink_) {
+      sink_(ev);
+    } else {
+      collected_.push_back(std::move(ev));
+    }
   }
 }
 
-void Engine::Feed(const syslog::SyslogRecord& rec) {
+void Engine::Feed(std::span<const syslog::SyslogRecord> records) {
+  if (records.empty()) return;
   EnsureStream();
-  pipeline_->Push(rec);
+  pipeline_->Push(records);
 }
 
 bool Engine::IngestDatagram(std::string_view datagram) {
@@ -216,14 +240,14 @@ void Engine::ObserveEventLatency(const core::DigestEvent& ev) {
 }
 
 std::size_t Engine::Pump() {
-  for (auto& rec : collector_.Drain()) Feed(rec);
+  Feed(collector_.Drain());
   return events_.load(std::memory_order_relaxed);
 }
 
 std::vector<core::DigestEvent> Engine::Finish() {
   if (finished_) return {};
   finished_ = true;
-  for (auto& rec : collector_.Flush()) Feed(rec);
+  Feed(collector_.Flush());
   if (pipeline_ != nullptr) pipeline_->Finish();
   return std::exchange(collected_, {});
 }
@@ -262,8 +286,14 @@ bool Engine::OpenDurable(const std::string& dir, std::string* error) {
         reg_->AddHistogram("ckpt_save_seconds", "checkpoint write latency",
                            obs::LatencyBucketsSeconds());
     ckpt_cells_.fsync_seconds = reg_->AddHistogram(
-        "ckpt_eventlog_fsync_seconds", "event-log append fsync latency",
+        "ckpt_eventlog_fsync_seconds",
+        "event-log commit fsync latency, one observation per commit of a "
+        "flush unit's events",
         obs::LatencyBucketsSeconds());
+    ckpt_cells_.append_failures = reg_->AddCounter(
+        "ckpt_eventlog_append_failures_total",
+        "event-log commits that failed to write or fsync (their events "
+        "were delivered anyway)");
   }
   // Attach the dir before restoring so EnsureStream (called while the
   // snapshot is being applied) wires the durable event path.
@@ -406,7 +436,7 @@ core::DigestResult Engine::Digest(
   opts.shards = options_.shards;
   opts.metrics = reg_;
   pipeline::ShardedPipeline p(kb_, dict_, opts);
-  for (const auto& rec : records) p.Push(rec);
+  p.Push(records);
   return p.Finish();
 }
 

@@ -34,6 +34,7 @@
 #include <string_view>
 #include <vector>
 
+#include "ckpt/codec.h"
 #include "ckpt/eventlog.h"
 #include "core/digest.h"
 #include "net/config_parser.h"
@@ -99,9 +100,12 @@ class Engine {
                                       EngineOptions options,
                                       std::string* error);
 
-  // Install before the first record; events are delivered as they close
-  // (inside Pump/Finish at shards == 1, on the merge thread above).
-  // Without a sink, closed events accumulate and Finish() returns them.
+  // Install before the first record; events are delivered in close
+  // order as the digest stage hands them over, one flush unit at a time
+  // (inside Pump/Finish at shards == 1, on the merge thread above).  A
+  // durable engine calls the sink only after the unit's event-log commit
+  // has returned from fsync.  Without a sink, closed events accumulate
+  // and Finish() returns them.
   void SetEventSink(EventSink sink);
 
   // Live path: records route through the collector (reorder window,
@@ -180,12 +184,13 @@ class Engine {
 
  private:
   void EnsureStream();
-  void Feed(const syslog::SyslogRecord& rec);
-  // Every closed event funnels through here (merge thread when shards>1):
-  // assigns the dense event sequence number, suppresses already-logged
-  // events after a restore, appends + fsyncs to the durable log, then
-  // hands the event to the sink (or the collected_ buffer).
-  void DeliverEvent(core::DigestEvent ev);
+  void Feed(std::span<const syslog::SyslogRecord> records);
+  // Every flush unit of closed events funnels through here (merge thread
+  // when shards>1): assigns the unit's dense event sequence numbers,
+  // suppresses the already-logged prefix after a restore, commits the
+  // rest to the durable log with one write and one fsync, then hands
+  // each event to the sink (or the collected_ buffer) in close order.
+  void DeliverBatch(std::span<core::DigestEvent> events);
   bool RestoreFromBody(std::string_view body, std::string* error);
   // Files an ingest-to-emit latency tag for stream time `t` (wall clock
   // "now"), and looks one up for a closing event.  See the latency-tag
@@ -227,7 +232,7 @@ class Engine {
   // Bounded so a stalled consumer cannot grow it: once full, new stream
   // seconds overwrite nothing — they are simply not tagged, which only
   // loses resolution, never correctness.  Guarded by tag_mutex_ because
-  // ingest runs on listener threads while DeliverEvent runs on the merge
+  // ingest runs on listener threads while DeliverBatch runs on the merge
   // thread at shards > 1.
   struct LatencyTag {
     TimeMs t;
@@ -243,6 +248,10 @@ class Engine {
   std::unique_ptr<ckpt::EventLog> event_log_;
   std::uint64_t replay_cursor_ = 0;
   std::uint64_t replay_suppressed_ = 0;
+  // One commit's encoded payloads, one writer per event, and their
+  // views; reused across commits.
+  std::vector<ckpt::Writer> log_payloads_;
+  std::vector<std::string_view> log_views_;
   std::chrono::steady_clock::time_point last_ckpt_{};
   struct CkptCells {
     obs::Counter* saves = nullptr;
@@ -253,7 +262,8 @@ class Engine {
     obs::Gauge* snapshot_bytes = nullptr;
     obs::Gauge* age_s = nullptr;             // seconds since last save
     obs::Histogram* save_seconds = nullptr;
-    obs::Histogram* fsync_seconds = nullptr;  // event-log appends
+    obs::Histogram* fsync_seconds = nullptr;  // one per event-log commit
+    obs::Counter* append_failures = nullptr;  // failed event-log commits
   } ckpt_cells_;
 };
 

@@ -185,7 +185,7 @@ void ShardedPipeline::ShardStep(Shard& shard,
 
 void ShardedPipeline::MergeStep(const ShardOutput& out) {
   const core::Augmented& msg = out.msg;
-  Deliver(tracker_.Observe(msg.time));
+  Collect(tracker_.Observe(msg.time));
   tracker_.Add(msg);
   tracker_.ApplyEdges(out.edges);
   tracker_.NoteRules(out.fired_rules);
@@ -202,31 +202,40 @@ void ShardedPipeline::MergeStep(const ShardOutput& out) {
   tracker_.Touch(msg.raw_index, msg.time);
 }
 
-void ShardedPipeline::Deliver(std::vector<core::DigestEvent> events) {
-  for (core::DigestEvent& ev : events) {
-    if (sink_) {
-      sink_(std::move(ev));
-    } else {
-      collected_.push_back(std::move(ev));
-    }
-  }
+void ShardedPipeline::Collect(std::vector<core::DigestEvent> events) {
+  for (core::DigestEvent& ev : events) closed_.push_back(std::move(ev));
 }
 
-void ShardedPipeline::Push(const syslog::SyslogRecord& rec) {
-  const auto [router_key, known] = resolver_.Resolve(rec.router);
-  const std::size_t seq = seq_++;
-  if (threads_ == nullptr) {
-    Shard& shard = *shards_.front();
-    ShardStep(shard, rec, seq, router_key, known, &inline_out_);
-    shard.Publish(1);
-    MergeStep(inline_out_);
-    if (merged_cell_ != nullptr) merged_cell_->Inc();
-    return;
+void ShardedPipeline::Deliver() {
+  if (closed_.empty()) return;
+  if (sink_) {
+    sink_(std::span<core::DigestEvent>(closed_));
+  } else {
+    for (core::DigestEvent& ev : closed_) collected_.push_back(std::move(ev));
   }
-  const auto sid = static_cast<std::uint32_t>(router_key % shards_.size());
-  threads_->lanes[sid]->pending.push_back({seq, router_key, known, rec});
-  threads_->pending_order.push_back(sid);
-  if (threads_->pending_order.size() >= options_.batch_size) FlushBatches();
+  closed_.clear();
+}
+
+void ShardedPipeline::Push(std::span<const syslog::SyslogRecord> records) {
+  for (const syslog::SyslogRecord& rec : records) {
+    const auto [router_key, known] = resolver_.Resolve(rec.router);
+    const std::size_t seq = seq_++;
+    if (threads_ == nullptr) {
+      Shard& shard = *shards_.front();
+      ShardStep(shard, rec, seq, router_key, known, &inline_out_);
+      shard.Publish(1);
+      MergeStep(inline_out_);
+      if (merged_cell_ != nullptr) merged_cell_->Inc();
+      continue;
+    }
+    const auto sid = static_cast<std::uint32_t>(router_key % shards_.size());
+    threads_->lanes[sid]->pending.push_back({seq, router_key, known, rec});
+    threads_->pending_order.push_back(sid);
+    if (threads_->pending_order.size() >= options_.batch_size) {
+      FlushBatches();
+    }
+  }
+  if (threads_ == nullptr) Deliver();
 }
 
 void ShardedPipeline::FlushBatches() {
@@ -281,6 +290,9 @@ void ShardedPipeline::RunMerge() {
       }
       MergeStep(current[sid][cursor[sid]++]);
     }
+    // Delivered before merged_count moves, so Quiesce() never returns
+    // with an event of this schedule still uncommitted.
+    Deliver();
     if (merged_cell_ != nullptr) {
       merged_cell_->Inc(schedule->size());
       t.merge_seconds->Observe(SecondsSince(batch_start));
@@ -360,7 +372,8 @@ core::DigestResult ShardedPipeline::Finish() {
     finished_ = true;
     if (threads_ != nullptr) FlushBatches();
     JoinThreads();
-    Deliver(tracker_.Flush());
+    Collect(tracker_.Flush());
+    Deliver();
   }
   core::DigestResult result;
   result.message_count = seq_;

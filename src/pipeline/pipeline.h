@@ -12,11 +12,16 @@
 //
 // At shards == 1 both steps run inline on the caller's thread inside
 // Push(): no threads, no queues, and the sink has seen every event the
-// record closed before Push() returns.  At shards > 1 the caller deals
+// records closed before Push() returns.  At shards > 1 the caller deals
 // records (router_key % shards) to N shard workers over BoundedQueues of
 // record batches, and one sequenced merge thread replays the shard
 // outputs in ingest order — an order queue carries the shard id of every
 // sequence number.
+//
+// The sink receives closed events a flush unit at a time, in close
+// order: all records of one Push() call inline, one merge schedule
+// threaded, and Finish()'s flush.  A durable engine commits each unit to
+// its event log with one fsync.
 //
 // Because the merge step consumes messages in exactly the ingest order
 // and every edge flows through one union-find, the event partition is
@@ -28,6 +33,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -68,10 +74,12 @@ struct PipelineOptions {
 
 class ShardedPipeline {
  public:
-  // Inline (shards == 1) the sink runs synchronously inside Push() and
-  // Finish().  Threaded, it runs on the merge thread, and for the final
+  // Called once per flush unit that closed events, never with an empty
+  // span; the sink may move the events out.  Inline (shards == 1) it
+  // runs synchronously at the end of Push() and in Finish().  Threaded,
+  // it runs on the merge thread after each schedule, and for the final
   // flush on the thread calling Finish().
-  using EventSink = std::function<void(core::DigestEvent)>;
+  using EventSink = std::function<void(std::span<core::DigestEvent>)>;
 
   // `kb` must outlive the pipeline and may gain catch-all templates.
   ShardedPipeline(core::KnowledgeBase* kb, const core::LocationDict* dict,
@@ -87,8 +95,11 @@ class ShardedPipeline {
   // they close and Finish() returns only counters.
   void SetEventSink(EventSink sink);
 
-  // Feeds one record (timestamps non-decreasing; single producer thread).
-  void Push(const syslog::SyslogRecord& rec);
+  // Feeds records (timestamps non-decreasing; single producer thread).
+  // Inline, the events they close reach the sink in one call before
+  // Push() returns.
+  void Push(std::span<const syslog::SyslogRecord> records);
+  void Push(const syslog::SyslogRecord& rec) { Push({&rec, 1}); }
 
   // Closes the stream, drains every stage, joins any threads, and returns
   // the digest (events sorted by score, unless a sink consumed them).
@@ -164,7 +175,10 @@ class ShardedPipeline {
                  std::size_t seq, std::uint32_t router_key,
                  bool router_known, ShardOutput* out);
   void MergeStep(const ShardOutput& out);
-  void Deliver(std::vector<core::DigestEvent> events);
+  // Adds events to the open flush unit; Deliver() hands the unit to the
+  // sink (or to collected_ without one).
+  void Collect(std::vector<core::DigestEvent> events);
+  void Deliver();
   void RunShard(std::size_t shard_id);
   void RunMerge();
   void FlushBatches();
@@ -187,6 +201,7 @@ class ShardedPipeline {
   obs::Counter* merged_cell_ = nullptr;
 
   // Merge-step state, read by Finish() only after any join.
+  std::vector<core::DigestEvent> closed_;  // the open flush unit
   std::vector<core::DigestEvent> collected_;
   EventSink sink_;
   bool finished_ = false;

@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ckpt/codec.h"
@@ -275,6 +277,116 @@ TEST(EventLogTest, AppendRejectsOutOfOrderSeq) {
   EXPECT_FALSE(log->Append(2, "gap", nullptr, &error));
   EXPECT_FALSE(log->Append(0, "rewind", nullptr, &error));
   EXPECT_TRUE(log->Append(1, "b", nullptr, &error));
+}
+
+// One commit of several records: the reopened log recovers next_seq
+// past every record of every commit.
+TEST(EventLogTest, AppendBatchAndReopenRecoversNextSeq) {
+  TempDir dir;
+  const std::string path = dir.file("events.log");
+  std::string error;
+  EventLog::OpenStats stats;
+  auto log = EventLog::Open(path, &stats, &error);
+  ASSERT_NE(log, nullptr) << error;
+  const std::vector<std::string_view> first = {"a", "bb", "ccc"};
+  const std::vector<std::string_view> second = {"dddd", "eeeee"};
+  double fsync_s = -1.0;
+  ASSERT_TRUE(log->AppendBatch(0, first, &fsync_s, &error)) << error;
+  EXPECT_GE(fsync_s, 0.0);
+  EXPECT_EQ(log->next_seq(), 3u);
+  ASSERT_TRUE(log->AppendBatch(3, second, nullptr, &error)) << error;
+  log.reset();
+
+  log = EventLog::Open(path, &stats, &error);
+  ASSERT_NE(log, nullptr) << error;
+  EXPECT_EQ(stats.records, 5u);
+  EXPECT_FALSE(stats.truncated_tail);
+  EXPECT_EQ(log->next_seq(), 5u);
+  std::vector<std::string> seen;
+  ASSERT_TRUE(EventLog::ForEach(
+      path,
+      [&seen](std::uint64_t seq, std::string_view payload) {
+        seen.push_back(std::to_string(seq) + ":" + std::string(payload));
+      },
+      &error))
+      << error;
+  EXPECT_EQ(seen, (std::vector<std::string>{"0:a", "1:bb", "2:ccc", "3:dddd",
+                                            "4:eeeee"}));
+}
+
+// Commit grouping leaves no trace on disk: one batch of N payloads and N
+// one-record appends write the same bytes, so a reader cannot tell them
+// apart and logs written before batching read unchanged.
+TEST(EventLogTest, BatchWritesTheSameBytesAsPerRecordAppends) {
+  TempDir dir;
+  std::vector<std::string> payloads;
+  for (int i = 0; i < 40; ++i) {
+    payloads.push_back("event-" + std::to_string(i) +
+                       std::string(static_cast<std::size_t>(i * 7), 'x'));
+  }
+  payloads.push_back("");  // a zero-length payload frames too
+  const std::vector<std::string_view> views(payloads.begin(), payloads.end());
+  std::string error;
+  EventLog::OpenStats stats;
+  {
+    auto one = EventLog::Open(dir.file("one.log"), &stats, &error);
+    ASSERT_NE(one, nullptr) << error;
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      ASSERT_TRUE(one->Append(i, views[i], nullptr, &error)) << error;
+    }
+    auto batch = EventLog::Open(dir.file("batch.log"), &stats, &error);
+    ASSERT_NE(batch, nullptr) << error;
+    ASSERT_TRUE(batch->AppendBatch(0, views, nullptr, &error)) << error;
+    auto mixed = EventLog::Open(dir.file("mixed.log"), &stats, &error);
+    ASSERT_NE(mixed, nullptr) << error;
+    const std::span<const std::string_view> all(views);
+    ASSERT_TRUE(mixed->AppendBatch(0, all.first(1), nullptr, &error));
+    ASSERT_TRUE(mixed->AppendBatch(1, all.subspan(1, 16), nullptr, &error));
+    ASSERT_TRUE(mixed->AppendBatch(17, all.subspan(17), nullptr, &error));
+  }
+  const std::string one = ReadAll(dir.file("one.log"));
+  ASSERT_FALSE(one.empty());
+  // Compared as bools: a mismatch would otherwise print binary logs.
+  EXPECT_TRUE(ReadAll(dir.file("batch.log")) == one);
+  EXPECT_TRUE(ReadAll(dir.file("mixed.log")) == one);
+}
+
+TEST(EventLogTest, AppendBatchRejectsWrongFirstSeqAndWritesNothing) {
+  TempDir dir;
+  const std::string path = dir.file("events.log");
+  std::string error;
+  EventLog::OpenStats stats;
+  auto log = EventLog::Open(path, &stats, &error);
+  ASSERT_NE(log, nullptr) << error;
+  const std::vector<std::string_view> two = {"a", "b"};
+  ASSERT_TRUE(log->AppendBatch(0, two, nullptr, &error)) << error;
+  const std::string before = ReadAll(path);
+  double fsync_s = -1.0;
+  EXPECT_FALSE(log->AppendBatch(1, two, &fsync_s, &error));  // rewind
+  EXPECT_NE(error.find("out of order"), std::string::npos) << error;
+  EXPECT_FALSE(log->AppendBatch(3, two, &fsync_s, &error));  // gap
+  EXPECT_EQ(fsync_s, -1.0);
+  EXPECT_EQ(log->next_seq(), 2u);
+  EXPECT_TRUE(ReadAll(path) == before);
+  EXPECT_TRUE(log->AppendBatch(2, two, nullptr, &error)) << error;
+  EXPECT_EQ(log->next_seq(), 4u);
+}
+
+TEST(EventLogTest, EmptyBatchNeitherWritesNorSyncs) {
+  TempDir dir;
+  const std::string path = dir.file("events.log");
+  std::string error;
+  EventLog::OpenStats stats;
+  auto log = EventLog::Open(path, &stats, &error);
+  ASSERT_NE(log, nullptr) << error;
+  ASSERT_TRUE(log->Append(0, "a", nullptr, &error)) << error;
+  const std::string before = ReadAll(path);
+  // The fsync time is reported only when an fsync ran.
+  double fsync_s = -1.0;
+  EXPECT_TRUE(log->AppendBatch(1, {}, &fsync_s, &error)) << error;
+  EXPECT_EQ(fsync_s, -1.0);
+  EXPECT_EQ(log->next_seq(), 1u);
+  EXPECT_TRUE(ReadAll(path) == before);
 }
 
 TEST(EventCodecTest, DigestEventRoundTrips) {

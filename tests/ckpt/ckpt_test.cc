@@ -12,6 +12,7 @@
 // from the configs, where every rule window is a storm of location-free
 // messages.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -19,6 +20,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -34,6 +36,7 @@
 #include "engine/engine.h"
 #include "loadgen/loadgen.h"
 #include "net/config_parser.h"
+#include "obs/registry.h"
 #include "sim/generator.h"
 #include "syslog/wire.h"
 
@@ -329,6 +332,261 @@ TEST_P(CkptAbandon, UnfinishedEngineLeavesLogIntact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, CkptAbandon,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}));
+
+// A kill inside a commit.  One commit is one write of several frames
+// and one fsync, and none of its events reaches the sink before the
+// fsync returns, so a kill mid-write leaves some of the commit's frames
+// whole and one torn.  Open keeps the whole ones: the log owns them and
+// the replay cursor suppresses their regeneration, exactly like events
+// a kill caught after the fsync but before the sink.  The crash leg runs
+// to its kill point and stops without Finish; its log is then cut in
+// the middle of the last frame of its last multi-event commit after the
+// checkpoint.  Every sink call records the log's size, which is the end
+// of the call's commit, so consecutive equal sizes mark one commit.
+class CkptTornCommit : public ::testing::TestWithParam<EquivalenceCase> {};
+
+TEST_P(CkptTornCommit, KillInsideACommitMatchesUninterruptedRun) {
+  const auto [crash_shards, restore_shards, dense] = GetParam();
+  World& w = dense ? SharedDenseWorld() : SharedWorld();
+  TempDir golden_dir;
+  TempDir dir;
+  const auto golden = RunGolden(w, /*shards=*/1, golden_dir.str());
+  const std::string path = dir.str() + "/events.log";
+  std::vector<std::uintmax_t> commit_end_of;  // per delivered event
+  std::uint64_t checkpointed = 0;
+  {
+    core::KnowledgeBase kb = CloneKb(w.kb);
+    Engine eng(&kb, &w.dict, DurableOptions(crash_shards));
+    std::string error;
+    ASSERT_TRUE(eng.OpenDurable(dir.str(), &error)) << error;
+    eng.SetEventSink([&](const core::DigestEvent&) {
+      commit_end_of.push_back(std::filesystem::file_size(path));
+    });
+    const std::size_t n = w.live.messages.size();
+    for (std::size_t i = 0; i < n / 5; ++i) {
+      eng.IngestRecord(w.live.messages[i]);
+      eng.Pump();
+      if (i + 1 == n / 10) {
+        ASSERT_TRUE(eng.Checkpoint(&error)) << error;
+        checkpointed = eng.event_count();
+      }
+    }
+  }  // stops like a kill once queued schedules are committed
+
+  // The last commit of two or more events, as [first event, end).
+  std::size_t first = commit_end_of.size();
+  std::size_t end = first;
+  for (std::size_t i = commit_end_of.size(); i-- > 1;) {
+    if (commit_end_of[i] != commit_end_of[i - 1]) continue;
+    end = i + 1;
+    first = i - 1;
+    while (first > 0 && commit_end_of[first - 1] == commit_end_of[i]) --first;
+    break;
+  }
+  ASSERT_LT(first, commit_end_of.size()) << "no multi-event commit";
+  ASSERT_GE(first, checkpointed) << "the commit precedes the snapshot";
+  const std::string bytes = ReadBytes(path);
+  ASSERT_EQ(bytes.size(), commit_end_of.back());
+
+  // Frames of that commit start where the previous commit ended.
+  std::size_t at = first == 0 ? 0 : commit_end_of[first - 1];
+  std::size_t last_frame = at;
+  for (std::size_t k = first; k < end; ++k) {
+    ASSERT_LE(at + 16, bytes.size());
+    ckpt::Reader header(std::string_view(bytes).substr(at, 4));
+    last_frame = at;
+    at += 16 + header.U32();  // [u32 len][u32 crc][u64 seq][payload]
+  }
+  ASSERT_EQ(at, commit_end_of[end - 1]);
+  std::filesystem::resize_file(path, last_frame + (at - last_frame) / 2);
+  ASSERT_EQ(DumpLog(dir.str()).size(), end - 1);
+
+  const auto restored = RunRestart(w, restore_shards, dir.str());
+  EXPECT_EQ(restored, golden);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, CkptTornCommit,
+                         ::testing::Values(EquivalenceCase{1, 1},
+                                           EquivalenceCase{4, 1}));
+
+INSTANTIATE_TEST_SUITE_P(Dense, CkptTornCommit,
+                         ::testing::Values(EquivalenceCase{1, 1, true},
+                                           EquivalenceCase{4, 1, true}));
+
+std::uint64_t HistogramCount(const obs::MetricsSnapshot& snap,
+                             const std::string& name) {
+  std::uint64_t count = 0;
+  for (const obs::SeriesSnapshot& s : snap.series) {
+    if (s.name == name) count += s.count;
+  }
+  return count;
+}
+
+// Group commit: one event-log fsync per flush unit that closed events,
+// not one per event.  Inline a unit is one Pump, plus two in Finish (the
+// collector's held tail, then the tracker flush); threaded, one merge
+// schedule, plus Finish's flush.
+class CkptCommits : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(CkptCommits, OneFsyncPerFlushUnit) {
+  const std::size_t shards = GetParam();
+  World& w = SharedWorld();
+  TempDir dir;
+  obs::Registry metrics;
+  EngineOptions opts = DurableOptions(shards);
+  opts.metrics = &metrics;
+  core::KnowledgeBase kb = CloneKb(w.kb);
+  Engine eng(&kb, &w.dict, opts);
+  std::string error;
+  ASSERT_TRUE(eng.OpenDurable(dir.str(), &error)) << error;
+  std::uint64_t pumps = 0;
+  for (std::size_t i = 0; i < w.live.messages.size(); ++i) {
+    eng.IngestRecord(w.live.messages[i]);
+    if (i % 64 == 63) {
+      eng.Pump();
+      ++pumps;
+    }
+  }
+  eng.Finish();
+  const obs::MetricsSnapshot snap = metrics.Collect();
+  const std::uint64_t commits =
+      HistogramCount(snap, "ckpt_eventlog_fsync_seconds");
+  EXPECT_GT(commits, 0u);
+  if (shards == 1) {
+    EXPECT_LE(commits, pumps + 2);
+  } else {
+    EXPECT_LE(commits,
+              HistogramCount(snap, "pipeline_merge_batch_seconds") + 1);
+  }
+  EXPECT_GT(eng.event_count(), commits);
+  EXPECT_EQ(snap.Value("ckpt_eventlog_append_failures_total"), 0);
+  EXPECT_EQ(DumpLog(dir.str()).size(), eng.event_count());
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, CkptCommits,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}));
+
+// Caps the size of the files this process writes, as a full disk would:
+// a write past the cap fails with EFBIG instead of raising SIGXFSZ.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(rlim_t bytes) {
+    ::getrlimit(RLIMIT_FSIZE, &saved_);
+    old_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit cap = saved_;
+    cap.rlim_cur = bytes;
+    ::setrlimit(RLIMIT_FSIZE, &cap);
+  }
+  ~FileSizeCap() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*old_handler_)(int) = nullptr;
+};
+
+// A commit the log cannot take is reported once, in the failure counter
+// and on stderr, and its events are still delivered.  The log stays at
+// its last good record, so every later commit fails and is reported
+// once too.
+TEST(CkptEngineTest, FailedCommitsAreCountedOncePerCommit) {
+  World& w = SharedWorld();
+  TempDir dir;
+  obs::Registry metrics;
+  EngineOptions opts = DurableOptions(1);
+  opts.metrics = &metrics;
+  core::KnowledgeBase kb = CloneKb(w.kb);
+  Engine eng(&kb, &w.dict, opts);
+  std::string error;
+  ASSERT_TRUE(eng.OpenDurable(dir.str(), &error)) << error;
+  std::uint64_t delivered = 0;
+  eng.SetEventSink([&delivered](const core::DigestEvent&) { ++delivered; });
+  const std::size_t n = w.live.messages.size();
+  const auto feed = [&](std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      eng.IngestRecord(w.live.messages[i]);
+      if (i % 64 == 63) eng.Pump();
+    }
+  };
+  feed(0, n / 2);
+  const std::uint64_t logged = DumpLog(dir.str()).size();
+  const std::uint64_t good_commits =
+      HistogramCount(metrics.Collect(), "ckpt_eventlog_fsync_seconds");
+  ASSERT_GT(logged, 0u);
+  std::string reported;
+  {
+    // Captured first: the capture file must not hit the cap.
+    ::testing::internal::CaptureStderr();
+    const FileSizeCap cap(
+        std::filesystem::file_size(dir.str() + "/events.log") + 1);
+    feed(n / 2, n);
+    eng.Finish();
+  }
+  reported = ::testing::internal::GetCapturedStderr();
+  const obs::MetricsSnapshot snap = metrics.Collect();
+  const std::int64_t failures =
+      snap.Value("ckpt_eventlog_append_failures_total");
+  std::int64_t lines = 0;
+  for (std::size_t at = reported.find("event log commit");
+       at != std::string::npos;
+       at = reported.find("event log commit", at + 1)) {
+    ++lines;
+  }
+  EXPECT_GT(failures, 0);
+  EXPECT_EQ(lines, failures);
+  EXPECT_EQ(HistogramCount(snap, "ckpt_eventlog_fsync_seconds"),
+            good_commits);
+  // Several events per failed commit: counted per commit, not per event.
+  EXPECT_LT(static_cast<std::uint64_t>(failures), eng.event_count() - logged);
+  EXPECT_EQ(delivered, eng.event_count());
+  EXPECT_EQ(DumpLog(dir.str()).size(), logged);
+}
+
+// The delivery contract: no sink call happens before its commit's fsync
+// returned.  The sink re-reads the log on every call and must find the
+// event it was handed under its sequence number.
+class CkptLogBeforeSink : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(CkptLogBeforeSink, SinkFindsItsEventAlreadyLogged) {
+  const std::size_t shards = GetParam();
+  World& w = SharedWorld();
+  TempDir dir;
+  core::KnowledgeBase kb = CloneKb(w.kb);
+  Engine eng(&kb, &w.dict, DurableOptions(shards));
+  std::string error;
+  ASSERT_TRUE(eng.OpenDurable(dir.str(), &error)) << error;
+  std::uint64_t delivered = 0;
+  std::uint64_t unlogged = 0;
+  eng.SetEventSink([&](const core::DigestEvent& ev) {
+    const std::uint64_t seq = delivered++;
+    std::string logged;
+    std::string log_error;
+    ckpt::EventLog::ForEach(
+        dir.str() + "/events.log",
+        [&](std::uint64_t s, std::string_view payload) {
+          if (s != seq) return;
+          ckpt::Reader r(payload);
+          core::DigestEvent back;
+          if (ckpt::ReadEvent(&r, &back)) logged = back.Format();
+        },
+        &log_error);
+    if (logged != ev.Format()) ++unlogged;
+  });
+  for (const auto& rec : w.live.messages) {
+    eng.IngestRecord(rec);
+    eng.Pump();
+  }
+  eng.Finish();
+  EXPECT_GT(delivered, 0u);
+  EXPECT_EQ(unlogged, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, CkptLogBeforeSink,
                          ::testing::Values(std::size_t{1}, std::size_t{4}));
 
 // A checkpoint taken after a clean Finish restores to a drained engine:

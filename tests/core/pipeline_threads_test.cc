@@ -10,6 +10,7 @@
 #include <chrono>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -117,8 +118,9 @@ TEST(ThreadedPipelineTest, ShardedStreamingMatchesStreamingDigester) {
   std::vector<DigestEvent> expected;
   {
     pipeline::ShardedPipeline inline_pipeline(&kb, &dict, opts);
-    inline_pipeline.SetEventSink(
-        [&expected](DigestEvent ev) { expected.push_back(std::move(ev)); });
+    inline_pipeline.SetEventSink([&expected](std::span<DigestEvent> batch) {
+      for (DigestEvent& ev : batch) expected.push_back(std::move(ev));
+    });
     for (const auto& rec : live.messages) inline_pipeline.Push(rec);
     inline_pipeline.Finish();
   }
@@ -130,7 +132,9 @@ TEST(ThreadedPipelineTest, ShardedStreamingMatchesStreamingDigester) {
   opts.metrics = &metrics;
   pipeline::ShardedPipeline p(&kb, &dict, opts);
   std::vector<DigestEvent> got;
-  p.SetEventSink([&got](DigestEvent ev) { got.push_back(std::move(ev)); });
+  p.SetEventSink([&got](std::span<DigestEvent> batch) {
+    for (DigestEvent& ev : batch) got.push_back(std::move(ev));
+  });
   for (const auto& rec : live.messages) p.Push(rec);
   const DigestResult result = p.Finish();
 
@@ -228,7 +232,8 @@ TEST(ThreadedPipelineTest, UdpToQueueToStreamingDigester) {
     opts.idle_close_ms = kb.temporal_params.smax + kb.rule_params.window_ms;
     opts.max_group_age_ms = 24 * kMsPerHour;
     pipeline::ShardedPipeline digester(&kb, &dict, opts);
-    digester.SetEventSink([&events](DigestEvent) { ++events; });
+    digester.SetEventSink(
+        [&events](std::span<DigestEvent> batch) { events += batch.size(); });
     while (auto rec = queue.Pop()) {
       ++digested;
       digester.Push(*rec);

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "core/learn.h"
@@ -58,8 +59,9 @@ class Stream {
   Stream(Ctx& ctx, TimeMs idle_close_ms,
          TimeMs max_group_age_ms = 24 * kMsPerHour)
       : pipe(&ctx.kb, &ctx.dict, Options(idle_close_ms, max_group_age_ms)) {
-    pipe.SetEventSink(
-        [this](DigestEvent ev) { closed_.push_back(std::move(ev)); });
+    pipe.SetEventSink([this](std::span<DigestEvent> batch) {
+      for (DigestEvent& ev : batch) closed_.push_back(std::move(ev));
+    });
   }
 
   std::vector<DigestEvent> Push(const syslog::SyslogRecord& rec) {

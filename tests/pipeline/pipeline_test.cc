@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -281,9 +282,9 @@ TEST(ShardedPipelineTest, OneShardStartsNoThreads) {
   const std::thread::id caller = std::this_thread::get_id();
   std::size_t delivered = 0;
   std::size_t off_thread = 0;
-  p.SetEventSink([&](core::DigestEvent) {
-    ++delivered;
-    if (std::this_thread::get_id() != caller) ++off_thread;
+  p.SetEventSink([&](std::span<core::DigestEvent> batch) {
+    delivered += batch.size();
+    if (std::this_thread::get_id() != caller) off_thread += batch.size();
   });
   for (const auto& rec : ctx.live.messages) p.Push(rec);
   EXPECT_EQ(ThreadCount(), before);

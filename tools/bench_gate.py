@@ -49,6 +49,12 @@ Dispatches on the "benchmark" field of FRESH.json:
                 regress by more than the noise margin.  The smoke run
                 must use the baseline's --routers/--rate-scale profile
                 so per-group state sizes are comparable.
+                "eventlog_identical" must be true (event-log commits of
+                16 and 256 records wrote the bytes of one-record
+                appends), and the event-log cost per event at each
+                commit size is compared against the baseline only when
+                the fresh host reports the same cpu count (fsync
+                latency does not travel across host shapes).
   wire        - "identical" must be true (the wire front delivered the
                 byte-identical payload stream of the legacy receive
                 loop from the identical send sequence), its
@@ -503,6 +509,33 @@ def gate_ckpt(gate, fresh, baseline, args):
     if compared == 0:
         gate.fail("ckpt sweep shares no open-group point with the "
                   "baseline; nothing was gated")
+
+    if not fresh.get("eventlog_identical", False):
+        gate.fail("ckpt bench reports eventlog_identical=false: a log "
+                  "written in batched commits differs from the per-record "
+                  "log")
+    fresh_cpus = int(fresh.get("cpus", 0))
+    base_cpus = int(baseline.get("cpus", 0))
+    if fresh_cpus != base_cpus:
+        print(f"event-log cost comparison skipped: fresh host has "
+              f"{fresh_cpus} cpus, baseline has {base_cpus}")
+        return
+    base_legs = {int(leg.get("batch", 0)): leg
+                 for leg in baseline.get("eventlog", [])}
+    for leg in fresh.get("eventlog", []):
+        batch = int(leg.get("batch", 0))
+        base = base_legs.get(batch)
+        if base is None:
+            print(f"event-log commit size {batch} has no baseline entry; "
+                  "not gated")
+            continue
+        # Costs become rates so the shared lower-is-worse check applies.
+        gate.check_rate(
+            f"eventlog_events_per_sec[batch={batch}]",
+            [1e6 / us for us in reps_of(leg, "us_per_event",
+                                        "us_per_event_reps")],
+            [1e6 / us for us in reps_of(base, "us_per_event",
+                                        "us_per_event_reps")])
 
 
 # Acceptance floors for the end-to-end soak: slgen throughput over the
