@@ -225,7 +225,6 @@ int main(int argc, char** argv) {
   p.dict = bench::BuildDict(p.history);
   core::OfflineLearnerParams learn_params;
   learn_params.rules = bench::PaperRuleParams(spec);
-  learn_params.threads = bench::LearnThreadsFromEnv();
   core::OfflineLearner learner(learn_params);
   p.kb = learner.Learn(p.history.messages, p.dict);
 

@@ -1,19 +1,19 @@
 // Archive ingest throughput (§5.1 scale: "millions of messages per
 // day"): records/sec from archive bytes to parsed SyslogRecords, legacy
-// istream reader vs the block-based parallel reader, with bit-identical
-// record verification on every rep.  Written to BENCH_ingest.json.
+// istream reader vs the one-pass reader, with bit-identical record
+// verification on every rep.  Written to BENCH_ingest.json.
 //
 // The baseline ("legacy") is the pre-refactor serial ReadArchive
 // reproduced verbatim below: std::getline into a line string, a
 // double-Trim ParseRecordLine, three fresh string allocations per
-// record.  The measured path is syslog::ParseArchive at each sweep
-// point; its records and malformed count must equal the legacy reader's
-// exactly or the bench exits non-zero.  A steady-state allocation audit
-// asserts the parse adds ~0 allocations beyond the records' own string
-// fields (counting operator new hook in bench_common).
+// record.  The measured path is syslog::ParseArchive; its records and
+// malformed count must equal the legacy reader's exactly or the bench
+// exits non-zero.  A steady-state allocation audit asserts the parse
+// adds ~0 allocations beyond the records' own string fields (counting
+// operator new hook in bench_common).
 //
 //   bench_ingest                      # defaults: 14 days, 3 reps
-//   bench_ingest --days 2 --reps 3 --sweep 1,4   # CI smoke
+//   bench_ingest --days 2 --reps 3    # CI smoke
 //   bench_ingest --json=FILE          # output path (default
 //                                     # BENCH_ingest.json)
 #include <algorithm>
@@ -108,36 +108,22 @@ std::string JsonArray(const std::vector<double>& v) {
 int main(int argc, char** argv) {
   int days = 14;
   int reps = 3;
-  std::vector<int> sweep = {1, 2, 4, 8};
   std::string json = "BENCH_ingest.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--days") == 0 && i + 1 < argc) {
       days = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
       reps = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--sweep") == 0 && i + 1 < argc) {
-      sweep.clear();
-      for (const char* tok = std::strtok(argv[++i], ","); tok != nullptr;
-           tok = std::strtok(nullptr, ",")) {
-        sweep.push_back(std::atoi(tok));
-      }
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json = argv[i] + 7;
     }
   }
   if (days < 1) days = 1;
   if (reps < 1) reps = 1;
-  if (sweep.empty()) sweep = {1, 4};
-  // The sweep needs a threads=1 point: it anchors the speedup-vs-legacy
-  // and thread-scaling ratios the CI gate reads.
-  if (std::find(sweep.begin(), sweep.end(), 1) == sweep.end()) {
-    sweep.insert(sweep.begin(), 1);
-  }
 
-  bench::Header("ingest", "block-parallel archive ingest",
+  bench::Header("ingest", "one-pass archive ingest",
                 "millions of syslog messages per day parse in seconds; "
-                "records are bit-identical to the serial reader at any "
-                "thread count");
+                "records are bit-identical to the serial reader");
 
   // Archive text with deterministic impurities: comments, garbage lines
   // (counted malformed) and CRLF endings, so the equality check covers
@@ -158,9 +144,10 @@ int main(int argc, char** argv) {
   std::printf("archive: %zu records, %.1f MiB (%d days)\n",
               ds.messages.size(), mb, days);
 
-  // Legacy baseline.  The istringstream is built outside the timer, so
-  // the measured window covers exactly what the old ReadArchiveFile did
-  // after the open: getline + parse.
+  // Legacy baseline, whose records are the expected output.  The
+  // istringstream is built outside the timer, so the measured window
+  // covers exactly what the old ReadArchiveFile did after the open:
+  // getline + parse.
   std::vector<double> legacy_reps;
   std::vector<syslog::SyslogRecord> expected;
   std::size_t expected_malformed = 0;
@@ -170,27 +157,13 @@ int main(int argc, char** argv) {
     expected = LegacyReadArchive(in, &expected_malformed);
     legacy_reps.push_back(n / Seconds(start));
   }
-  const double legacy_rate = Median(legacy_reps);
-  std::printf("legacy istream reader:  %12.0f msgs/sec  (%zu records, "
-              "%zu malformed)\n",
-              legacy_rate, expected.size(), expected_malformed);
 
-  syslog::IngestOptions base_opts;
-  // Enough blocks for the widest sweep point to balance, even on the
-  // small CI smoke corpus.
-  base_opts.block_bytes =
-      std::max<std::size_t>(64u << 10, text.size() / 64);
-
-  // Steady-state allocation audit at one thread, single block (so the
-  // gather is a pure vector move): the parse may allocate only what the
+  // Steady-state allocation audit: the parse may allocate only what the
   // records' own string fields cost, measured by copying those fields.
   bool identical = true;
   double extra_allocs_per_msg = 0.0;
   {
-    syslog::IngestOptions opts = base_opts;
-    opts.threads = 1;
-    opts.block_bytes = text.size() + 1;
-    const auto warm = syslog::ParseArchive(text, opts);  // warm caches
+    const auto warm = syslog::ParseArchive(text);  // warm caches
     if (warm != expected) identical = false;
     std::vector<std::string> copies;
     copies.reserve(warm.size() * 3);
@@ -203,7 +176,7 @@ int main(int argc, char** argv) {
     const std::uint64_t field_allocs = bench::AllocationCount() - before;
     copies.clear();
     before = bench::AllocationCount();
-    const auto audit = syslog::ParseArchive(text, opts);
+    const auto audit = syslog::ParseArchive(text);
     const std::uint64_t parse_allocs = bench::AllocationCount() - before;
     if (audit != expected) identical = false;
     extra_allocs_per_msg =
@@ -217,47 +190,30 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(field_allocs));
   }
 
-  struct SweepPoint {
-    int threads = 1;
-    double rate = 0;
-    std::vector<double> reps;
-    syslog::IngestStats stats;
-  };
-  std::vector<SweepPoint> points;
+  std::vector<double> parse_reps;
+  syslog::IngestStats stats;
   obs::Registry metrics;
-  for (const int threads : sweep) {
-    SweepPoint point;
-    point.threads = threads;
-    syslog::IngestOptions opts = base_opts;
-    opts.threads = threads;
-    for (int r = 0; r < reps; ++r) {
-      // Cells sum at Collect time, so bind only the very last rep of the
-      // last sweep point (the bench_learn convention).
-      opts.metrics = (threads == sweep.back() && r == reps - 1)
-                         ? &metrics
-                         : nullptr;
-      const auto start = std::chrono::steady_clock::now();
-      const auto records =
-          syslog::ParseArchive(text, opts, &point.stats);
-      point.reps.push_back(n / Seconds(start));
-      if (records != expected ||
-          point.stats.malformed != expected_malformed) {
-        identical = false;
-        std::fprintf(stderr,
-                     "FAIL: records at %d threads differ from the serial "
-                     "reader\n",
-                     threads);
-      }
+  for (int r = 0; r < reps; ++r) {
+    // Cells sum at Collect time, so bind only the very last rep (the
+    // bench_learn convention).
+    syslog::IngestOptions opts;
+    opts.metrics = r == reps - 1 ? &metrics : nullptr;
+    const auto start = std::chrono::steady_clock::now();
+    const auto records = syslog::ParseArchive(text, opts, &stats);
+    parse_reps.push_back(n / Seconds(start));
+    if (records != expected || stats.malformed != expected_malformed) {
+      identical = false;
+      std::fprintf(stderr, "FAIL: records of rep %d differ from the serial "
+                           "reader\n", r);
     }
-    point.rate = Median(point.reps);
-    points.push_back(std::move(point));
-    const SweepPoint& p = points.back();
-    std::printf("block reader x%-2d:       %12.0f msgs/sec  (%5.2fx legacy, "
-                "%5.2fx vs x1)  [parse %.3fs gather %.3fs, %zu blocks]\n",
-                threads, p.rate, p.rate / legacy_rate,
-                p.rate / points.front().rate, p.stats.parse_s,
-                p.stats.assemble_s, p.stats.blocks);
   }
+  const double legacy_rate = Median(legacy_reps);
+  const double rate = Median(parse_reps);
+  std::printf("legacy istream reader: %12.0f msgs/sec  (%zu records, "
+              "%zu malformed)\n",
+              legacy_rate, expected.size(), expected_malformed);
+  std::printf("one-pass reader:       %12.0f msgs/sec  (%5.2fx legacy)\n",
+              rate, rate / legacy_rate);
 
   std::ofstream out(json);
   out << "{\n  \"benchmark\": \"ingest\",\n  \"dataset\": \"A\",\n"
@@ -271,20 +227,11 @@ int main(int argc, char** argv) {
       << "  \"extra_allocs_per_msg\": " << extra_allocs_per_msg << ",\n"
       << "  \"legacy_msgs_per_sec\": " << legacy_rate << ",\n"
       << "  \"legacy_reps\": " << JsonArray(legacy_reps) << ",\n"
-      << "  \"sweep\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& p = points[i];
-    const double mbps = mb * p.rate / n;
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"threads\": %d, \"msgs_per_sec\": %.6g, "
-                  "\"mb_per_sec\": %.6g, \"speedup\": %.6g, "
-                  "\"scaling\": %.6g, \"reps\": %s}",
-                  p.threads, p.rate, mbps, p.rate / legacy_rate,
-                  p.rate / points.front().rate, JsonArray(p.reps).c_str());
-    out << buf << (i + 1 < points.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"metrics\": " << metrics.Collect().RenderJson() << "}\n";
+      << "  \"parse_msgs_per_sec\": " << rate << ",\n"
+      << "  \"parse_reps\": " << JsonArray(parse_reps) << ",\n"
+      << "  \"mb_per_sec\": " << mb * rate / n << ",\n"
+      << "  \"speedup\": " << rate / legacy_rate << ",\n"
+      << "  \"metrics\": " << metrics.Collect().RenderJson() << "}\n";
   std::printf("wrote %s\n", json.c_str());
   const bool alloc_ok = extra_allocs_per_msg <= 0.01;
   if (!alloc_ok) {

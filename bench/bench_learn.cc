@@ -1,17 +1,15 @@
 // Offline learning throughput (§4.1): msgs/sec through the full
-// template/augment/temporal/rule learning pass, serial baseline vs the
-// thread-pool learner, with bit-identical knowledge-base verification at
-// every thread count.  Written to BENCH_learn.json.
+// template/augment/temporal/rule learning pass of the OfflineLearner,
+// with knowledge-base verification on every rep.  Written to
+// BENCH_learn.json.
 //
-// The baseline ("legacy") is the pre-parallelization OfflineLearner
-// reproduced verbatim on the public APIs: a straight serial loop per
-// phase, exactly as learn.cc read before the thread-pool refactor.  The
-// measured path is the real OfflineLearner at each sweep point; its
-// serialized KnowledgeBase must equal the legacy one bit for bit or the
-// bench exits non-zero.
+// The oracle ("legacy") is the straight serial learner reproduced below
+// on the public APIs, one loop per phase.  The measured path is the real
+// OfflineLearner; its serialized KnowledgeBase must equal the legacy one
+// bit for bit or the bench exits non-zero.
 //
 //   bench_learn                         # defaults: 14 learn days, 3 reps
-//   bench_learn --learn-days 2 --reps 3 --sweep 1,4   # CI smoke
+//   bench_learn --learn-days 2 --reps 3 # CI smoke
 //   bench_learn --json=FILE             # output path (default
 //                                       # BENCH_learn.json)
 #include <algorithm>
@@ -36,8 +34,8 @@ double Seconds(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// The pre-parallelization learner, frozen here as the speedup baseline
-// (same role the legacy matcher plays in bench_match).
+// The serial learner, frozen here as the knowledge-base oracle (the
+// role the legacy matcher plays in bench_match).
 core::KnowledgeBase LegacyLearn(
     std::span<const syslog::SyslogRecord> history,
     const core::LocationDict& dict, const core::OfflineLearnerParams& p) {
@@ -121,7 +119,6 @@ std::string JsonArray(const std::vector<double>& v) {
 int main(int argc, char** argv) {
   int learn_days = 14;
   int reps = 3;
-  std::vector<int> sweep = {1, 2, 4, 8};
   std::string json = "BENCH_learn.json";
   bool sweep_temporal = true;
   for (int i = 1; i < argc; ++i) {
@@ -129,12 +126,6 @@ int main(int argc, char** argv) {
       learn_days = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
       reps = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--sweep") == 0 && i + 1 < argc) {
-      sweep.clear();
-      for (const char* tok = std::strtok(argv[++i], ","); tok != nullptr;
-           tok = std::strtok(nullptr, ",")) {
-        sweep.push_back(std::atoi(tok));
-      }
     } else if (std::strcmp(argv[i], "--no-temporal-sweep") == 0) {
       sweep_temporal = false;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
@@ -143,11 +134,10 @@ int main(int argc, char** argv) {
   }
   if (learn_days < 1) learn_days = 1;
   if (reps < 1) reps = 1;
-  if (sweep.empty()) sweep = {1, 4};
 
-  bench::Header("learn", "parallel offline learning",
+  bench::Header("learn", "offline learning",
                 "months of history learn in minutes; the knowledge base "
-                "is bit-identical at any thread count");
+                "matches the serial oracle bit for bit");
 
   const sim::Dataset history =
       sim::GenerateDataset(sim::DatasetASpec(), 0, learn_days,
@@ -157,72 +147,52 @@ int main(int argc, char** argv) {
   params.rules = bench::PaperRuleParams(sim::DatasetASpec());
   // The α/β grid sweep is part of the paper's offline procedure
   // (Figs. 10-11) and the heaviest phase; keep it on by default so the
-  // bench exercises all four parallel phases.
+  // bench exercises every phase.
   params.sweep_temporal = sweep_temporal;
   const double n = static_cast<double>(history.messages.size());
   std::printf("history: %zu messages (%d days), temporal sweep %s\n",
               history.messages.size(), learn_days,
               sweep_temporal ? "on" : "off");
 
-  // Serial baseline: the pre-refactor learner, reproduced above.
-  std::vector<double> legacy_reps;
-  core::KnowledgeBase legacy_kb;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    legacy_kb = LegacyLearn(history.messages, dict, params);
-    legacy_reps.push_back(n / Seconds(start));
-  }
-  const double legacy_rate = Median(legacy_reps);
+  const core::KnowledgeBase legacy_kb =
+      LegacyLearn(history.messages, dict, params);
   const std::string expected = legacy_kb.Serialize();
-  std::printf("legacy serial learner: %12.0f msgs/sec  (%zu templates, "
-              "%zu rules)\n",
-              legacy_rate, legacy_kb.templates.size(),
-              legacy_kb.rules.size());
 
-  struct SweepPoint {
-    int threads = 1;
-    double rate = 0;
-    std::vector<double> reps;
-    core::LearnTimings timings;
-  };
-  std::vector<SweepPoint> points;
+  std::vector<double> rates;
+  core::LearnTimings timings;
   bool identical = true;
   obs::Registry metrics;
-  for (const int threads : sweep) {
-    SweepPoint point;
-    point.threads = threads;
-    core::OfflineLearnerParams p = params;
-    p.threads = threads;
-    core::OfflineLearner learner(p);
-    for (int r = 0; r < reps; ++r) {
-      // Registry cells sum at Collect time, so bind only the very last
-      // rep of the last sweep point — the snapshot then holds one clean
-      // set of phase gauges.
-      if (threads == sweep.back() && r == reps - 1) {
-        learner.BindMetrics(&metrics);
-      }
-      const auto start = std::chrono::steady_clock::now();
-      const core::KnowledgeBase kb =
-          learner.Learn(history.messages, dict, nullptr, &point.timings);
-      point.reps.push_back(n / Seconds(start));
-      if (kb.Serialize() != expected) {
-        identical = false;
-        std::fprintf(stderr,
-                     "FAIL: KB at %d threads differs from serial learner\n",
-                     threads);
-      }
+  core::OfflineLearner learner(params);
+  for (int r = 0; r < reps; ++r) {
+    // Registry cells sum at Collect time, so bind only the very last
+    // rep — the snapshot then holds one clean set of phase gauges.
+    if (r == reps - 1) learner.BindMetrics(&metrics);
+    const auto start = std::chrono::steady_clock::now();
+    const core::KnowledgeBase kb =
+        learner.Learn(history.messages, dict, nullptr, &timings);
+    rates.push_back(n / Seconds(start));
+    if (kb.Serialize() != expected) {
+      identical = false;
+      std::fprintf(stderr, "FAIL: KB of rep %d differs from the serial "
+                           "oracle\n", r);
     }
-    point.rate = Median(point.reps);
-    points.push_back(std::move(point));
-    std::printf(
-        "pool learner x%-2d:      %12.0f msgs/sec  (%5.2fx)  "
-        "[tmpl %.2fs aug %.2fs priors %.2fs grid %.2fs rules %.2fs]\n",
-        threads, points.back().rate, points.back().rate / legacy_rate,
-        points.back().timings.templates_s, points.back().timings.augment_s,
-        points.back().timings.priors_s, points.back().timings.params_s,
-        points.back().timings.rules_s);
   }
+  const double rate = Median(rates);
+  std::printf(
+      "learner: %12.0f msgs/sec  (%zu templates, %zu rules)  "
+      "[tmpl %.2fs aug %.2fs priors %.2fs grid %.2fs rules %.2fs]\n",
+      rate, legacy_kb.templates.size(), legacy_kb.rules.size(),
+      timings.templates_s, timings.augment_s, timings.priors_s,
+      timings.params_s, timings.rules_s);
 
+  char phases[320];
+  std::snprintf(phases, sizeof(phases),
+                "{\"templates_s\": %.6g, \"augment_s\": %.6g, "
+                "\"priors_s\": %.6g, \"params_s\": %.6g, \"rules_s\": %.6g, "
+                "\"freq_s\": %.6g, \"total_s\": %.6g}",
+                timings.templates_s, timings.augment_s, timings.priors_s,
+                timings.params_s, timings.rules_s, timings.freq_s,
+                timings.total_s);
   std::ofstream out(json);
   out << "{\n  \"benchmark\": \"learn\",\n  \"dataset\": \"A\",\n"
       << "  \"cpus\": " << std::thread::hardware_concurrency() << ",\n"
@@ -232,26 +202,10 @@ int main(int argc, char** argv) {
       << ",\n"
       << "  \"reps\": " << reps << ",\n"
       << "  \"identical\": " << (identical ? "true" : "false") << ",\n"
-      << "  \"serial_msgs_per_sec\": " << legacy_rate << ",\n"
-      << "  \"serial_reps\": " << JsonArray(legacy_reps) << ",\n"
-      << "  \"sweep\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& p = points[i];
-    const core::LearnTimings& t = p.timings;
-    char buf[384];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"threads\": %d, \"msgs_per_sec\": %.6g, "
-                  "\"speedup\": %.6g, \"reps\": %s,\n"
-                  "     \"phases\": {\"templates_s\": %.6g, \"augment_s\": "
-                  "%.6g, \"priors_s\": %.6g, \"params_s\": %.6g, "
-                  "\"rules_s\": %.6g, \"freq_s\": %.6g, \"total_s\": "
-                  "%.6g}}",
-                  p.threads, p.rate, p.rate / legacy_rate,
-                  JsonArray(p.reps).c_str(), t.templates_s, t.augment_s,
-                  t.priors_s, t.params_s, t.rules_s, t.freq_s, t.total_s);
-    out << buf << (i + 1 < points.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"metrics\": " << metrics.Collect().RenderJson() << "}\n";
+      << "  \"learn_msgs_per_sec\": " << rate << ",\n"
+      << "  \"learn_reps\": " << JsonArray(rates) << ",\n"
+      << "  \"phases\": " << phases << ",\n"
+      << "  \"metrics\": " << metrics.Collect().RenderJson() << "}\n";
   std::printf("wrote %s\n", json.c_str());
   return identical ? 0 : 1;
 }

@@ -14,7 +14,6 @@
 //   bench_throughput --sweep 1,2 --reps 5 --learn-days 2
 //                                    # CI smoke: per-rep rates for the
 //                                    # bench_gate noise model
-//   bench_throughput --learn-threads 4   # parallel fixture learning
 #include <sys/socket.h>
 #include <sys/uio.h>
 
@@ -42,7 +41,6 @@ namespace {
 
 // Fixture knobs, set in main() before the first Shared() call.
 int g_learn_days = 14;
-int g_learn_threads = 1;
 
 // Keeps each run's result observable so the work cannot be elided.
 volatile std::size_t g_events_sink = 0;
@@ -75,11 +73,7 @@ std::vector<syslog::SyslogRecord> DenseRecords(TimeMs epoch) {
 
 struct Fixture {
   Fixture() {
-    core::OfflineLearnerParams params;
-    params.rules = bench::PaperRuleParams(sim::DatasetASpec());
-    params.threads = g_learn_threads;
-    p = bench::BuildPipeline(sim::DatasetASpec(), g_learn_days, 1, nullptr,
-                             &params);
+    p = bench::BuildPipeline(sim::DatasetASpec(), g_learn_days, 1);
     dense = DenseRecords(p.live.messages.front().time);
   }
   bench::Pipeline p;
@@ -252,8 +246,6 @@ int main(int argc, char** argv) {
       threads = std::atol(argv[++i]);
     } else if (std::strcmp(argv[i], "--learn-days") == 0 && i + 1 < argc) {
       g_learn_days = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--learn-threads") == 0 && i + 1 < argc) {
-      g_learn_threads = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
       reps = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--sweep") == 0 && i + 1 < argc) {

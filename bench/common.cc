@@ -55,18 +55,6 @@ std::uint64_t AllocationCount() noexcept {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
-int LearnThreadsFromEnv() {
-  const char* env = std::getenv("SLD_LEARN_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  return std::atoi(env);
-}
-
-int IngestThreadsFromEnv() {
-  const char* env = std::getenv("SLD_INGEST_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  return std::atoi(env);
-}
-
 core::RuleMinerParams PaperRuleParams(const sim::DatasetSpec& spec) {
   core::RuleMinerParams params;
   params.window_ms = (spec.name == "A" ? 120 : 40) * kMsPerSecond;
@@ -99,7 +87,6 @@ Pipeline BuildPipeline(const sim::DatasetSpec& spec, int learn_days,
     learn_params = *params;
   } else {
     learn_params.rules = PaperRuleParams(spec);
-    learn_params.threads = LearnThreadsFromEnv();
   }
   core::OfflineLearner learner(learn_params);
   p.kb = learner.Learn(p.history.messages, p.dict, evolution);

@@ -35,17 +35,6 @@ struct Pipeline {
 // W = 120 s for dataset A, 40 s for dataset B.
 core::RuleMinerParams PaperRuleParams(const sim::DatasetSpec& spec);
 
-// Learner threads for fixture building: $SLD_LEARN_THREADS (default 1,
-// 0 = one per core).  An env knob rather than a flag so every bench
-// harness gains it without per-binary plumbing; the learned KB is
-// identical at any value, only fixture build time changes.
-int LearnThreadsFromEnv();
-
-// Archive-ingest threads for fixture building: $SLD_INGEST_THREADS
-// (default 1, 0 = one per core).  Same convention as above; the parsed
-// records are identical at any value.
-int IngestThreadsFromEnv();
-
 // Generates `learn_days` of history starting at day 0 and `online_days`
 // starting right after, learns the knowledge base, and returns everything.
 // `online_days` may be 0 when a bench only needs the offline side.

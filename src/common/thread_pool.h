@@ -1,30 +1,25 @@
-// A small reusable fork-join pool for the offline miners.
+// A small reusable fork-join pool for the multi-tenant engine host.
 //
-// The offline learning phases (template sharding, Syslog+ augmentation,
-// per-period rule mining, the α/β grid) are all "N independent tasks,
-// results gathered in index order".  ParallelFor is built for exactly
-// that shape and nothing more:
+// EngineHost (src/engine/host.h) loads, pumps, checkpoints and finishes
+// its tenants' engines on one shared pool.  Each of those jobs is "N
+// independent tasks, one per engine", and ParallelFor is built for
+// exactly that shape and nothing more:
 //
-//  - `fn(index, worker)` is called exactly once for every index in
-//    [0, n); each task writes only its own per-index slot, so the result
-//    vector is deterministic no matter how the scheduler interleaves
-//    workers.
-//  - `worker` is a dense id in [0, thread_count()) for per-worker
-//    scratch (the caller participates as worker 0), never for output.
-//  - Indices are claimed in contiguous chunks off a shared atomic
-//    cursor, so a million tiny tasks cost ~thousands of RMWs, not a
-//    million, while uneven coarse tasks (template shards of very
-//    different sizes) still balance.
-//
-// A pool constructed with `threads <= 1` spawns nothing and runs every
-// task inline on the caller — the serial and parallel code paths are the
-// same code, which is what lets the learner equivalence tests demand
-// bit-identical output at any thread count.
+//  - `fn(index)` is called exactly once for every index in [0, n); each
+//    task touches only its own engine or per-index slot, so results do
+//    not depend on how the scheduler interleaves workers.
+//  - Indices are claimed one at a time off a shared atomic cursor: the
+//    tasks are few and coarse (one engine's pump), so balance matters
+//    more than the cost of a claim.
+//  - The caller participates, so a pool of N threads spawns N - 1
+//    helpers, and a pool constructed with `threads <= 1` spawns nothing
+//    and runs every task inline on the caller.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -35,7 +30,7 @@ namespace sld {
 
 class ThreadPool {
  public:
-  using Task = std::function<void(std::size_t index, std::size_t worker)>;
+  using Task = std::function<void(std::size_t index)>;
 
   // `threads` counts the caller: a pool of 4 spawns 3 helpers.
   // `threads <= 0` means one thread per hardware core.
@@ -44,8 +39,7 @@ class ThreadPool {
     const int helpers = threads > 1 ? threads - 1 : 0;
     workers_.reserve(static_cast<std::size_t>(helpers));
     for (int w = 0; w < helpers; ++w) {
-      workers_.emplace_back(
-          [this, w] { WorkerLoop(static_cast<std::size_t>(w) + 1); });
+      workers_.emplace_back([this] { WorkerLoop(); });
     }
   }
 
@@ -61,41 +55,25 @@ class ThreadPool {
     for (std::thread& t : workers_) t.join();
   }
 
-  // Workers available to ParallelFor, caller included.
-  std::size_t thread_count() const noexcept { return workers_.size() + 1; }
-
-  static unsigned HardwareThreads() {
-    const unsigned n = std::thread::hardware_concurrency();
-    return n == 0 ? 1 : n;
-  }
-
-  // Runs fn(i, worker) exactly once for every i in [0, n); returns when
-  // all calls have finished.  `chunk` is the number of consecutive
-  // indices a worker claims at a time (0 = pick automatically).  The
-  // first exception thrown by a task is rethrown here after the join.
-  void ParallelFor(std::size_t n, const Task& fn, std::size_t chunk = 0) {
+  // Runs fn(i) exactly once for every i in [0, n); returns when all
+  // calls have finished.  The first exception thrown by a task is
+  // rethrown here after the join.
+  void ParallelFor(std::size_t n, const Task& fn) {
     if (n == 0) return;
     if (workers_.empty() || n == 1) {
-      for (std::size_t i = 0; i < n; ++i) fn(i, 0);
+      for (std::size_t i = 0; i < n; ++i) fn(i);
       return;
-    }
-    if (chunk == 0) {
-      // ~8 claims per worker amortizes the cursor RMW without starving
-      // load balance when task costs are skewed.
-      chunk = n / (thread_count() * 8);
-      if (chunk == 0) chunk = 1;
     }
     {
       std::lock_guard<std::mutex> lock(mutex_);
       job_ = &fn;
-      chunk_ = chunk;
       total_ = n;
       next_.store(0, std::memory_order_relaxed);
       error_ = nullptr;
       ++generation_;
     }
     wake_.notify_all();
-    Drain(fn, /*worker=*/0);
+    Drain(fn);
     std::unique_lock<std::mutex> lock(mutex_);
     done_.wait(lock, [this] {
       return next_.load(std::memory_order_relaxed) >= total_ && active_ == 0;
@@ -110,7 +88,12 @@ class ThreadPool {
   }
 
  private:
-  void WorkerLoop(std::size_t worker) {
+  static unsigned HardwareThreads() {
+    const unsigned n = std::thread::hardware_concurrency();
+    return n == 0 ? 1 : n;
+  }
+
+  void WorkerLoop() {
     std::uint64_t seen = 0;
     for (;;) {
       const Task* job = nullptr;
@@ -124,7 +107,7 @@ class ThreadPool {
         job = job_;
         ++active_;
       }
-      Drain(*job, worker);
+      Drain(*job);
       {
         std::lock_guard<std::mutex> lock(mutex_);
         --active_;
@@ -133,20 +116,15 @@ class ThreadPool {
     }
   }
 
-  void Drain(const Task& fn, std::size_t worker) {
+  void Drain(const Task& fn) {
     for (;;) {
-      const std::size_t begin =
-          next_.fetch_add(chunk_, std::memory_order_relaxed);
-      if (begin >= total_) return;
-      const std::size_t end =
-          begin + chunk_ < total_ ? begin + chunk_ : total_;
-      for (std::size_t i = begin; i < end; ++i) {
-        try {
-          fn(i, worker);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(mutex_);
-          if (error_ == nullptr) error_ = std::current_exception();
-        }
+      const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+      if (i >= total_) return;
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (error_ == nullptr) error_ = std::current_exception();
       }
     }
   }
@@ -158,22 +136,10 @@ class ThreadPool {
   const Task* job_ = nullptr;
   std::atomic<std::size_t> next_{0};
   std::size_t total_ = 0;
-  std::size_t chunk_ = 1;
   std::size_t active_ = 0;
   std::uint64_t generation_ = 0;
   std::exception_ptr error_ = nullptr;
   bool stop_ = false;
 };
-
-// Pool-optional fan-out: a null pool runs the loop inline on the caller,
-// so call sites keep a single code path for serial and parallel modes.
-inline void ParallelFor(ThreadPool* pool, std::size_t n,
-                        const ThreadPool::Task& fn, std::size_t chunk = 0) {
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) fn(i, 0);
-    return;
-  }
-  pool->ParallelFor(n, fn, chunk);
-}
 
 }  // namespace sld

@@ -1,7 +1,5 @@
 #include "core/augment.h"
 
-#include "common/strings.h"
-
 namespace sld::core {
 
 Augmented AugmentWithRouting(const syslog::SyslogRecord& rec,
@@ -44,48 +42,11 @@ Augmented Augmenter::Augment(const syslog::SyslogRecord& rec,
 }
 
 std::vector<Augmented> Augmenter::AugmentAll(
-    std::span<const syslog::SyslogRecord> records, ThreadPool* pool) {
-  std::vector<Augmented> out(records.size());
-
-  // Router keys are interned in first-sight order; resolve them serially
-  // so key assignment is identical at any thread count.
-  std::vector<std::pair<std::uint32_t, bool>> keys(records.size());
+    std::span<const syslog::SyslogRecord> records) {
+  std::vector<Augmented> out;
+  out.reserve(records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
-    keys[i] = resolver_.Resolve(records[i].router);
-  }
-
-  // Parallel phase: location extraction plus a read-only template match,
-  // with per-worker tokenizer scratch.  The extractor and dict are
-  // const-shared; each task writes only its own output slot.
-  const std::size_t worker_count = pool != nullptr ? pool->thread_count() : 1;
-  std::vector<std::vector<std::string_view>> scratch(worker_count);
-  std::vector<unsigned char> missed(records.size(), 0);
-  ParallelFor(pool, records.size(),
-              [&](std::size_t i, std::size_t worker) {
-                out[i] = AugmentWithRouting(records[i], i, keys[i].first,
-                                            keys[i].second, extractor_,
-                                            *dict_);
-                std::vector<std::string_view>& sc = scratch[worker];
-                SplitWhitespace(records[i].detail, &sc);
-                if (const auto id = templates_->Match(records[i].code, sc)) {
-                  out[i].tmpl = *id;
-                } else {
-                  missed[i] = 1;
-                }
-              });
-
-  // Serial fixup in index order: unmatched messages mint their catch-all
-  // fallback exactly as the serial Augment loop would — the first miss of
-  // a (code, token-count) pair creates the template, later misses of the
-  // same pair match it.  A record that matched a learned template above
-  // is unaffected: learned templates always win the fixed-count
-  // tie-break against an all-masked catch-all.
-  std::vector<std::string_view> sc;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    if (missed[i] != 0) {
-      out[i].tmpl = templates_->MatchOrFallback(records[i].code,
-                                                records[i].detail, &sc);
-    }
+    out.push_back(Augment(records[i], i));
   }
   return out;
 }

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/interner.h"
-#include "common/thread_pool.h"
 #include "core/location/extractor.h"
 #include "core/templates/template.h"
 #include "syslog/record.h"
@@ -107,15 +106,11 @@ class Augmenter {
 
   Augmented Augment(const syslog::SyslogRecord& rec, std::size_t raw_index);
 
-  // Augments a whole (time-sorted) history.  With a pool, router keys
-  // are still resolved serially (their first-sight interning order is
-  // part of the output), then extraction + matching fan out over index
-  // chunks, and catch-all fallbacks are minted in a serial index-order
-  // pass — the result is identical to the serial loop at any thread
-  // count.
+  // Augments a whole (time-sorted) history: Augment() on every record in
+  // order, so router keys and catch-all fallbacks are assigned in
+  // first-sight order.
   std::vector<Augmented> AugmentAll(
-      std::span<const syslog::SyslogRecord> records,
-      ThreadPool* pool = nullptr);
+      std::span<const syslog::SyslogRecord> records);
 
   const LocationDict& dict() const noexcept { return *dict_; }
 

@@ -1,10 +1,8 @@
 #include "core/learn.h"
 
 #include <chrono>
-#include <memory>
 #include <string>
 
-#include "common/thread_pool.h"
 #include "obs/registry.h"
 
 namespace sld::core {
@@ -17,41 +15,6 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// One rule-mining update period: the half-open index range [begin, end)
-// plus whether it is mined at all (a trailing sliver is skipped).
-struct PeriodSpan {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  bool mine = true;
-};
-
-// Reproduces the serial period walk: fixed-width periods anchored at the
-// first message, empty periods skipped by construction, and a trailing
-// sliver (long-running scenarios spilling past the last full period)
-// excluded — it is not a representative sample, and judging the rule
-// base against it would cause spurious deletions.
-std::vector<PeriodSpan> SplitPeriods(std::span<const Augmented> augmented,
-                                     TimeMs period) {
-  std::vector<PeriodSpan> periods;
-  const TimeMs t0 = augmented.front().time;
-  std::size_t begin = 0;
-  std::size_t prev_size = 0;
-  while (begin < augmented.size()) {
-    const TimeMs period_end =
-        t0 + ((augmented[begin].time - t0) / period + 1) * period;
-    std::size_t end = begin;
-    while (end < augmented.size() && augmented[end].time < period_end) {
-      ++end;
-    }
-    const bool sliver = end == augmented.size() && prev_size > 0 &&
-                        (end - begin) < prev_size / 10;
-    periods.push_back(PeriodSpan{begin, end, !sliver});
-    prev_size = end - begin;
-    begin = end;
-  }
-  return periods;
-}
-
 }  // namespace
 
 KnowledgeBase OfflineLearner::Learn(
@@ -62,34 +25,24 @@ KnowledgeBase OfflineLearner::Learn(
   LearnTimings& t = timings != nullptr ? *timings : local;
   t = LearnTimings{};
 
-  // One pool for every phase; threads <= 1 keeps everything inline on
-  // the caller (no pool, no worker threads).
-  std::unique_ptr<ThreadPool> pool;
-  if (params_.threads != 1) {
-    pool = std::make_unique<ThreadPool>(params_.threads);
-  }
-
   KnowledgeBase kb;
   kb.rule_params = params_.rules;
   kb.temporal_params = params_.temporal;
   kb.history_message_count = history.size();
 
-  // 1. Message templates (§4.1.1).  The feed is serial (the learner
-  // interns tokens in first-sight order); the sub-type trees fan out per
-  // (code, token-count) shard inside Learn.
+  // 1. Message templates (§4.1.1).
   Clock::time_point phase_start = Clock::now();
   TemplateLearner template_learner(params_.templates);
   for (const syslog::SyslogRecord& rec : history) {
     template_learner.Add(rec.code, rec.detail);
   }
-  kb.templates = template_learner.Learn(pool.get());
+  kb.templates = template_learner.Learn();
   t.templates_s = SecondsSince(phase_start);
 
   // 2. Syslog+ augmentation (template + location per message).
   phase_start = Clock::now();
   Augmenter augmenter(&kb.templates, &dict);
-  const std::vector<Augmented> augmented =
-      augmenter.AugmentAll(history, pool.get());
+  const std::vector<Augmented> augmented = augmenter.AugmentAll(history);
   t.augment_s = SecondsSince(phase_start);
 
   // 3. Temporal patterns (§4.1.3): per-template priors, optional α/β tune.
@@ -100,48 +53,52 @@ KnowledgeBase OfflineLearner::Learn(
     phase_start = Clock::now();
     TemporalParams tuned = SelectTemporalParams(
         augmented, kb.temporal_priors, params_.alpha_grid,
-        params_.beta_grid, pool.get());
+        params_.beta_grid);
     tuned.smin = params_.temporal.smin;
     tuned.smax = params_.temporal.smax;
     kb.temporal_params = tuned;
     t.params_s = SecondsSince(phase_start);
   }
 
-  // 4. Association rules (§4.1.4), mined per update period.  Mining one
-  // period is a pure function of its subspan, so the periods fan out;
-  // RuleBase::Update then applies the mined stats strictly in period
-  // order — the adaptive add / conservative-delete policy depends on the
-  // rule base's state at each step.
+  // 4. Association rules (§4.1.4), mined per update period: fixed-width
+  // periods anchored at the first message, so empty periods are skipped
+  // by construction.  Each period is mined and applied to the rule base
+  // before the next, in time order.
   phase_start = Clock::now();
   if (!augmented.empty()) {
+    const std::span<const Augmented> all(augmented);
     const TimeMs period =
         static_cast<TimeMs>(params_.update_period_days) * kMsPerDay;
-    const std::vector<PeriodSpan> periods = SplitPeriods(augmented, period);
-    std::vector<MiningStats> mined(periods.size());
-    std::vector<double> period_s(periods.size(), 0.0);
-    ParallelFor(
-        pool.get(), periods.size(),
-        [&](std::size_t i, std::size_t) {
-          if (!periods[i].mine) return;
-          const Clock::time_point mine_start = Clock::now();
-          mined[i] = MineCooccurrence(
-              std::span<const Augmented>(augmented)
-                  .subspan(periods[i].begin,
-                           periods[i].end - periods[i].begin),
-              params_.rules.window_ms);
-          period_s[i] = SecondsSince(mine_start);
-        },
-        /*chunk=*/1);
-    for (std::size_t i = 0; i < periods.size(); ++i) {
-      if (!periods[i].mine) continue;
-      const RuleBase::UpdateResult update =
-          kb.rules.Update(mined[i], params_.rules);
-      if (evolution != nullptr) {
-        evolution->total.push_back(kb.rules.size());
-        evolution->added.push_back(update.added);
-        evolution->deleted.push_back(update.deleted);
+    const TimeMs t0 = augmented.front().time;
+    std::size_t begin = 0;
+    std::size_t prev_size = 0;
+    while (begin < augmented.size()) {
+      const TimeMs period_end =
+          t0 + ((augmented[begin].time - t0) / period + 1) * period;
+      std::size_t end = begin;
+      while (end < augmented.size() && augmented[end].time < period_end) {
+        ++end;
       }
-      t.rule_period_s.push_back(period_s[i]);
+      // A trailing sliver (long-running scenarios spilling past the last
+      // full period) is not mined: it is not a representative sample, and
+      // judging the rule base against it would cause spurious deletions.
+      const bool sliver = end == augmented.size() && prev_size > 0 &&
+                          (end - begin) < prev_size / 10;
+      if (!sliver) {
+        const Clock::time_point mine_start = Clock::now();
+        const MiningStats mined = MineCooccurrence(
+            all.subspan(begin, end - begin), params_.rules.window_ms);
+        t.rule_period_s.push_back(SecondsSince(mine_start));
+        const RuleBase::UpdateResult update =
+            kb.rules.Update(mined, params_.rules);
+        if (evolution != nullptr) {
+          evolution->total.push_back(kb.rules.size());
+          evolution->added.push_back(update.added);
+          evolution->deleted.push_back(update.deleted);
+        }
+      }
+      prev_size = end - begin;
+      begin = end;
     }
   }
   t.rules_s = SecondsSince(phase_start);
@@ -175,14 +132,10 @@ KnowledgeBase OfflineLearner::Learn(
       metrics_
           ->AddGauge("learn_rule_period_duration_us",
                      "co-occurrence mining duration of one update period "
-                     "(microseconds, task-local)",
+                     "(microseconds)",
                      {{"period", std::to_string(i)}})
           ->Set(us(t.rule_period_s[i]));
     }
-    metrics_
-        ->AddGauge("learn_threads", "worker threads used by the learner")
-        ->Set(pool != nullptr ? static_cast<std::int64_t>(pool->thread_count())
-                              : 1);
     metrics_
         ->AddGauge("learn_history_messages",
                    "historical messages the knowledge base was learned from")

@@ -7,16 +7,11 @@
 // the adaptive add/conservative-delete update -> signature frequency
 // table.
 //
-// With `params.threads > 1` the expensive phases fan out over a
-// ThreadPool: template learning shards by (code, token-count), Syslog+
-// augmentation shards by index chunk, per-period co-occurrence mining
-// runs concurrently (rule-base updates still apply strictly in period
-// order — the adaptive add/conservative-delete policy is order
-// dependent), and the α/β grid sweeps points in parallel.  Every fan-out
-// gathers results in a fixed order, so the learned KnowledgeBase is
-// bit-identical to the serial learner at any thread count (the
-// learn_parallel tests enforce this the same way the pipeline
-// equivalence tests do).
+// The learner is one serial pass per phase.  Rule mining walks the
+// update periods in time order, mining one period and applying it to
+// the rule base before the next: the adaptive add/conservative-delete
+// policy depends on the rule base's state at each step.
+// tests/core/golden_kb.txt pins the learned KnowledgeBase byte for byte.
 #pragma once
 
 #include <span>
@@ -44,9 +39,8 @@ struct OfflineLearnerParams {
   std::vector<double> beta_grid = {2, 3, 4, 5, 6, 7};
   // Rule-base update period (the paper updates weekly).
   int update_period_days = 7;
-  // Worker threads for the parallel phases.  1 = fully serial (no pool
-  // is created); 0 = one thread per hardware core.  Any value produces
-  // the same KnowledgeBase.
+  // Ignored: the learner is single-threaded.  perfbench/ still sets it,
+  // so the field goes with the next change to the benchmark.
   int threads = 1;
 };
 
@@ -58,17 +52,17 @@ struct RuleEvolution {
 };
 
 // Wall-clock phase breakdown of one Learn() call, for bench_learn and
-// the obs gauges.  Per-period mining durations are task-local (periods
-// overlap in wall time when mined concurrently).
+// the obs gauges.
 struct LearnTimings {
   double templates_s = 0.0;  // TemplateLearner Add feed + Learn
   double augment_s = 0.0;    // Syslog+ augmentation
   double priors_s = 0.0;     // temporal prior mining
   double params_s = 0.0;     // α/β grid sweep (0 when not sweeping)
-  double rules_s = 0.0;      // period mining + ordered rule-base updates
+  double rules_s = 0.0;      // period mining + rule-base updates
   double freq_s = 0.0;       // signature frequency table
   double total_s = 0.0;
-  // One entry per mined (non-sliver) period, in period order.
+  // Co-occurrence mining time of each mined (non-sliver) period, in
+  // period order.
   std::vector<double> rule_period_s;
 };
 

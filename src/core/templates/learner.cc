@@ -32,74 +32,27 @@ bool TemplateLearner::IsLocationToken(TokenId id) const {
   return slot == 1;
 }
 
-void TemplateLearner::FillLocationCache() const {
-  location_cache_.resize(interner_.size(), -1);
-  for (TokenId id = 0; id < interner_.size(); ++id) {
-    signed char& slot = location_cache_[id];
-    if (slot < 0) {
-      slot = LooksLikeLocationToken(StripPunct(interner_.Get(id))) ? 1 : 0;
-    }
-  }
-}
-
-TemplateSet TemplateLearner::Learn(ThreadPool* pool) const {
-  // Shard list in the deterministic merge order: codes sorted, then token
-  // count ascending (templates never straddle lengths, so the sub-type
-  // trees are independent per shard).
+TemplateSet TemplateLearner::Learn() const {
   std::map<std::string_view, const TypeData*> ordered;
   for (const auto& [code, data] : types_) ordered.emplace(code, &data);
-  struct Shard {
-    std::string_view code;
-    std::vector<const std::vector<TokenId>*> msgs;
-  };
-  std::vector<Shard> shards;
+  TemplateSet out;
   for (const auto& [code, data] : ordered) {
     std::map<std::size_t, std::vector<const std::vector<TokenId>*>> by_len;
     for (const std::vector<TokenId>& msg : data->messages) {
       by_len[msg.size()].push_back(&msg);
     }
-    for (auto& [len, msgs] : by_len) {
-      (void)len;
-      shards.push_back(Shard{code, std::move(msgs)});
-    }
-  }
-
-  // The shards only read the interner and the location cache, so fill
-  // the cache up front; after this the whole learner is const-shared.
-  FillLocationCache();
-
-  // Learn every shard into its own emission list (chunk 1: shard costs
-  // are very uneven — one chatty code can dominate an entire shard).
-  std::vector<ShardEmits> emitted(shards.size());
-  ParallelFor(
-      pool, shards.size(),
-      [&](std::size_t i, std::size_t) {
-        LearnGroup(shards[i].msgs, emitted[i]);
-      },
-      /*chunk=*/1);
-
-  // Merge in shard order: ids come out exactly as the serial learner
-  // assigned them.
-  TemplateSet out;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    for (std::vector<std::string>& tokens : emitted[i]) {
-      out.Add(std::string(shards[i].code), std::move(tokens));
+    for (const auto& [len, msgs] : by_len) {
+      std::vector<TokenId> shape(len, kOpen);
+      Split(code, msgs, shape, out);
     }
   }
   return out;
 }
 
-void TemplateLearner::LearnGroup(
-    const std::vector<const std::vector<TokenId>*>& msgs,
-    ShardEmits& out) const {
-  if (msgs.empty()) return;
-  std::vector<TokenId> shape(msgs.front()->size(), kOpen);
-  Split(msgs, shape, out);
-}
-
 void TemplateLearner::Split(
+    std::string_view code,
     const std::vector<const std::vector<TokenId>*>& msgs,
-    std::vector<TokenId>& shape, ShardEmits& out) const {
+    std::vector<TokenId>& shape, TemplateSet& out) const {
   const std::size_t len = shape.size();
   // Effective branch cap: the paper's k, tightened by sample size — "there
   // would be many more messages associated with each sub type" (§4.1.1),
@@ -161,7 +114,7 @@ void TemplateLearner::Split(
                               ? std::string(kMask)
                               : std::string(interner_.Get(id)));
     }
-    out.push_back(std::move(tokens));
+    out.Add(std::string(code), std::move(tokens));
     return;
   }
 
@@ -176,7 +129,7 @@ void TemplateLearner::Split(
   for (auto& [value, child_msgs] : children) {
     std::vector<TokenId> child_shape = shape;
     child_shape[split_pos] = value;
-    Split(child_msgs, child_shape, out);
+    Split(code, child_msgs, child_shape, out);
   }
 }
 

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/interner.h"
-#include "common/thread_pool.h"
 #include "core/templates/template.h"
 
 namespace sld::core {
@@ -47,13 +46,11 @@ class TemplateLearner {
   // Number of messages fed so far.
   std::size_t message_count() const noexcept { return message_count_; }
 
-  // Builds the template set from everything fed so far.  The sub-type
-  // trees are independent per (code, token-count) shard, so a non-null
-  // pool learns shards concurrently; the shards are merged in the fixed
-  // (code ascending, token count ascending) order either way, so the
-  // resulting TemplateSet — ids included — is identical at any thread
-  // count.
-  TemplateSet Learn(ThreadPool* pool = nullptr) const;
+  // Builds the template set from everything fed so far.  Templates
+  // never straddle codes or token counts, so one sub-type tree is built
+  // per (code, token count), in code then token-count ascending order;
+  // that order fixes the template ids.
+  TemplateSet Learn() const;
 
  private:
   using TokenId = StringInterner::Id;
@@ -63,18 +60,10 @@ class TemplateLearner {
     std::vector<std::vector<TokenId>> messages;
   };
 
-  // Token sequences of the templates one shard emits, in DFS emission
-  // order (the order the pre-shard serial learner added them).
-  using ShardEmits = std::vector<std::vector<std::string>>;
-
-  void LearnGroup(const std::vector<const std::vector<TokenId>*>& msgs,
-                  ShardEmits& out) const;
-  void Split(const std::vector<const std::vector<TokenId>*>& msgs,
-             std::vector<TokenId>& shape, ShardEmits& out) const;
+  void Split(std::string_view code,
+             const std::vector<const std::vector<TokenId>*>& msgs,
+             std::vector<TokenId>& shape, TemplateSet& out) const;
   bool IsLocationToken(TokenId id) const;
-  // Classifies every interned token up front so the parallel shards read
-  // location_cache_ without writing it.
-  void FillLocationCache() const;
 
   TemplateLearnerParams params_;
   StringInterner interner_;

@@ -1,6 +1,7 @@
 #include "core/temporal/temporal.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace sld::core {
 
@@ -97,34 +98,19 @@ std::size_t CountFixedGapGroups(std::span<const Augmented> history,
 TemporalParams SelectTemporalParams(std::span<const Augmented> history,
                                     const TemporalPriors& priors,
                                     std::span<const double> alpha_grid,
-                                    std::span<const double> beta_grid,
-                                    ThreadPool* pool) {
-  // Flatten the grid in the serial sweep order (alpha outer, beta inner)
-  // so the strict-less argmin below keeps the serial tie-break: the
-  // earliest grid point with the minimal group count wins.
-  std::vector<TemporalParams> grid;
-  grid.reserve(alpha_grid.size() * beta_grid.size());
+                                    std::span<const double> beta_grid) {
+  TemporalParams best;
+  std::size_t best_groups = SIZE_MAX;
   for (const double alpha : alpha_grid) {
     for (const double beta : beta_grid) {
       TemporalParams params;
       params.alpha = alpha;
       params.beta = beta;
-      grid.push_back(params);
-    }
-  }
-  std::vector<std::size_t> groups(grid.size());
-  ParallelFor(
-      pool, grid.size(),
-      [&](std::size_t i, std::size_t) {
-        groups[i] = CountTemporalGroups(history, grid[i], priors);
-      },
-      /*chunk=*/1);
-  TemporalParams best;
-  std::size_t best_groups = SIZE_MAX;
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (groups[i] < best_groups) {
-      best_groups = groups[i];
-      best = grid[i];
+      const std::size_t groups = CountTemporalGroups(history, params, priors);
+      if (groups < best_groups) {
+        best_groups = groups;
+        best = params;
+      }
     }
   }
   return best;

@@ -18,7 +18,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/augment.h"
 
 namespace sld::core {
@@ -115,15 +114,12 @@ std::size_t CountTemporalGroups(std::span<const Augmented> history,
                                 const TemporalPriors& priors);
 
 // Grid-search for the (alpha, beta) minimizing the temporal compression
-// ratio on `history` (the paper's Figs. 10-11 procedure).  Each grid
-// point is one independent full pass, so a non-null pool sweeps points
-// concurrently; the winner is picked by a serial scan in grid order
-// (first minimum wins), identical to the serial sweep.
+// ratio on `history` (the paper's Figs. 10-11 procedure): one full pass
+// per grid point, alpha outer and beta inner; the first minimum wins.
 TemporalParams SelectTemporalParams(std::span<const Augmented> history,
                                     const TemporalPriors& priors,
                                     std::span<const double> alpha_grid,
-                                    std::span<const double> beta_grid,
-                                    ThreadPool* pool = nullptr);
+                                    std::span<const double> beta_grid);
 
 // Ablation baseline: grouping with a FIXED gap threshold (same group iff
 // the interarrival is <= `gap_ms`) instead of the adaptive EWMA.  Used by

@@ -87,7 +87,7 @@ bool EngineHost::LoadTenants(std::vector<TenantSpec> specs,
   // work: fan it out on the shared pool.
   std::vector<std::unique_ptr<Engine>> loaded(specs.size());
   std::vector<std::string> errors(specs.size());
-  ParallelFor(&pool_, specs.size(), [&](std::size_t i, std::size_t) {
+  pool_.ParallelFor(specs.size(), [&](std::size_t i) {
     EngineOptions opts = specs[i].options;
     opts.tenant = specs[i].name;
     opts.metrics = options_.metrics;
@@ -125,18 +125,16 @@ void EngineHost::PumpAll() {
   // Each index is one engine; an engine's pump is strictly serial, and
   // the ParallelFor barrier is the only cross-thread synchronization the
   // engines need (ingest happens between pumps, never during).
-  ParallelFor(&pool_, engines_.size(),
-              [&](std::size_t i, std::size_t) { engines_[i]->Pump(); },
-              /*chunk=*/1);
+  pool_.ParallelFor(engines_.size(),
+                    [&](std::size_t i) { engines_[i]->Pump(); });
 }
 
 void EngineHost::FinishAll(
     std::vector<std::vector<core::DigestEvent>>* leftovers) {
   std::vector<std::vector<core::DigestEvent>> remaining(engines_.size());
-  ParallelFor(&pool_, engines_.size(), [&](std::size_t i, std::size_t) {
+  pool_.ParallelFor(engines_.size(), [&](std::size_t i) {
     remaining[i] = engines_[i]->Finish();
-  },
-              /*chunk=*/1);
+  });
   if (leftovers != nullptr) *leftovers = std::move(remaining);
 }
 
@@ -163,15 +161,14 @@ std::uint16_t EngineHost::port_of(std::size_t i) const noexcept {
 }
 
 void EngineHost::CheckpointAll() {
-  ParallelFor(&pool_, engines_.size(), [&](std::size_t i, std::size_t) {
+  pool_.ParallelFor(engines_.size(), [&](std::size_t i) {
     if (!engines_[i]->durable()) return;
     std::string error;
     if (!engines_[i]->Checkpoint(&error)) {
       std::fprintf(stderr, "checkpoint failed for tenant '%s': %s\n",
                    engines_[i]->tenant().c_str(), error.c_str());
     }
-  },
-              /*chunk=*/1);
+  });
 }
 
 std::size_t EngineHost::Serve(const ServeOptions& options) {

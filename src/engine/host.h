@@ -77,7 +77,6 @@ class EngineHost {
   Engine* engine(std::size_t i) noexcept { return engines_[i].get(); }
   Engine* Find(const std::string& tenant) noexcept;
 
-  ThreadPool& pool() noexcept { return pool_; }
   obs::Registry* metrics() noexcept { return options_.metrics; }
 
   // Pumps every engine once, in parallel on the shared pool.  Returns

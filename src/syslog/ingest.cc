@@ -11,11 +11,19 @@
 #include <utility>
 
 #include "common/simd.h"
-#include "common/thread_pool.h"
 #include "obs/registry.h"
 
 namespace sld::syslog {
 namespace {
+
+// Archive bytes per reserved record slot.  Dataset-A archive lines
+// average ~104 bytes, so their records fit without a regrow; shorter
+// lines cost one regrow.  A looser bound costs more than memory: at 64
+// bytes per slot a 14-day archive's vector needs ~40 MB, which glibc
+// serves with a fresh mmap on every call (above 32 MiB it always does),
+// so each parse faults its pages in again; bench_ingest ran at ~3.6M
+// instead of ~6M msgs/s.
+constexpr std::size_t kReserveBytesPerRecord = 100;
 
 double Seconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -77,53 +85,6 @@ class FileBytes {
   std::string_view data_;
 };
 
-// Block boundaries: multiples of `block_bytes` snapped forward past the
-// next '\n'.  A deliberate function of (data, block_bytes) alone so the
-// same file splits identically at every thread count.
-std::vector<std::pair<std::size_t, std::size_t>> SplitBlocks(
-    std::string_view data, std::size_t block_bytes) {
-  if (block_bytes == 0) block_bytes = 4u << 20;
-  std::vector<std::pair<std::size_t, std::size_t>> blocks;
-  blocks.reserve(data.size() / block_bytes + 1);
-  std::size_t begin = 0;
-  while (begin < data.size()) {
-    std::size_t end = begin + block_bytes;
-    if (end >= data.size()) {
-      end = data.size();
-    } else {
-      const std::size_t nl = simd::FindNewlineFrom(data, end);
-      end = nl < data.size() ? nl + 1 : data.size();
-    }
-    blocks.emplace_back(begin, end);
-    begin = end;
-  }
-  return blocks;
-}
-
-// Parses one block (which starts at a line start and ends after a
-// newline or at EOF).  Line semantics replicate serial ReadArchive
-// exactly: the raw line (newline excluded, '\r' kept) is skipped when
-// empty or '#'-led, otherwise parsed and counted malformed on failure.
-void ParseBlock(std::string_view block, std::vector<SyslogRecord>& out,
-                std::size_t& malformed, TimestampMemo& memo) {
-  // Typical archive lines run ~70-100 bytes, so size/64 over-reserves
-  // slightly and the common case never reallocates.
-  out.reserve(block.size() / 64 + 1);
-  std::size_t pos = 0;
-  while (pos < block.size()) {
-    const std::size_t end = simd::FindNewlineFrom(block, pos);
-    const std::string_view line = block.substr(pos, end - pos);
-    pos = end + 1;
-    if (line.empty() || line.front() == '#') continue;
-    SyslogRecord rec;
-    if (ParseRecordInto(line, rec, &memo)) {
-      out.push_back(std::move(rec));
-    } else {
-      ++malformed;
-    }
-  }
-}
-
 void PublishMetrics(obs::Registry* reg, const IngestStats& stats) {
   if (reg == nullptr) return;
   reg->AddCounter("ingest_bytes_total", "Archive bytes ingested")
@@ -133,10 +94,6 @@ void PublishMetrics(obs::Registry* reg, const IngestStats& stats) {
   reg->AddCounter("ingest_malformed_total",
                   "Malformed archive lines skipped")
       ->Inc(stats.malformed);
-  reg->AddCounter("ingest_blocks_total", "Archive blocks parsed")
-      ->Inc(stats.blocks);
-  reg->AddGauge("ingest_threads", "Parse workers of the last ingest")
-      ->Set(stats.threads);
   const auto phase_us = [&](const char* phase, double seconds) {
     reg->AddCounter("ingest_phase_duration_us",
                     "Ingest wall clock by phase", {{"phase", phase}})
@@ -144,7 +101,6 @@ void PublishMetrics(obs::Registry* reg, const IngestStats& stats) {
   };
   phase_us("read", stats.read_s);
   phase_us("parse", stats.parse_s);
-  phase_us("assemble", stats.assemble_s);
 }
 
 }  // namespace
@@ -154,44 +110,28 @@ std::vector<SyslogRecord> ParseArchive(std::string_view data,
                                        IngestStats* stats) {
   IngestStats local;
   local.bytes = data.size();
-
   const auto parse_start = std::chrono::steady_clock::now();
-  const auto blocks = SplitBlocks(data, options.block_bytes);
-  local.blocks = blocks.size();
-
-  ThreadPool pool(options.threads);
-  local.threads = static_cast<int>(pool.thread_count());
-  std::vector<std::vector<SyslogRecord>> parsed(blocks.size());
-  std::vector<std::size_t> bad(blocks.size(), 0);
-  std::vector<TimestampMemo> memos(pool.thread_count());
-  pool.ParallelFor(
-      blocks.size(),
-      [&](std::size_t i, std::size_t worker) {
-        ParseBlock(data.substr(blocks[i].first,
-                               blocks[i].second - blocks[i].first),
-                   parsed[i], bad[i], memos[worker]);
-      },
-      /*chunk=*/1);  // blocks are coarse; claim one at a time for balance
-  local.parse_s = Seconds(parse_start);
-
-  // Gather in strict block (= file) order.
-  const auto assemble_start = std::chrono::steady_clock::now();
-  for (const std::size_t n : bad) local.malformed += n;
   std::vector<SyslogRecord> records;
-  if (parsed.size() == 1) {
-    records = std::move(parsed.front());
-  } else {
-    std::size_t total = 0;
-    for (const auto& chunk : parsed) total += chunk.size();
-    records.reserve(total);
-    for (auto& chunk : parsed) {
-      for (SyslogRecord& rec : chunk) records.push_back(std::move(rec));
-      chunk.clear();
-      chunk.shrink_to_fit();
+  records.reserve(data.size() / kReserveBytesPerRecord + 1);
+  TimestampMemo memo;
+  // Line semantics replicate serial ReadArchive exactly: the raw line
+  // (newline excluded, '\r' kept) is skipped when empty or '#'-led,
+  // otherwise parsed and counted malformed on failure.
+  std::size_t pos = 0;
+  while (pos < data.size()) {
+    const std::size_t end = simd::FindNewlineFrom(data, pos);
+    const std::string_view line = data.substr(pos, end - pos);
+    pos = end + 1;
+    if (line.empty() || line.front() == '#') continue;
+    SyslogRecord rec;
+    if (ParseRecordInto(line, rec, &memo)) {
+      records.push_back(std::move(rec));
+    } else {
+      ++local.malformed;
     }
   }
   local.records = records.size();
-  local.assemble_s = Seconds(assemble_start);
+  local.parse_s = Seconds(parse_start);
 
   PublishMetrics(options.metrics, local);
   if (stats != nullptr) *stats = local;

@@ -14,7 +14,7 @@ TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   constexpr std::size_t kN = 1000;
   std::vector<std::atomic<int>> hits(kN);
-  pool.ParallelFor(kN, [&](std::size_t i, std::size_t) {
+  pool.ParallelFor(kN, [&](std::size_t i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (std::size_t i = 0; i < kN; ++i) {
@@ -22,27 +22,12 @@ TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
   }
 }
 
-TEST(ThreadPoolTest, WorkerIdsAreInRange) {
-  ThreadPool pool(4);
-  ASSERT_EQ(pool.thread_count(), 4u);
-  std::vector<std::atomic<int>> used(pool.thread_count());
-  pool.ParallelFor(4096, [&](std::size_t, std::size_t worker) {
-    ASSERT_LT(worker, pool.thread_count());
-    used[worker].fetch_add(1, std::memory_order_relaxed);
-  });
-  // The caller participates as worker 0, but whether it wins any chunk
-  // is a race against the helpers — only the total is guaranteed.
-  int total = 0;
-  for (auto& u : used) total += u.load();
-  EXPECT_EQ(total, 4096);
-}
-
 TEST(ThreadPoolTest, ReusableAcrossManyJobs) {
   ThreadPool pool(3);
   for (int round = 0; round < 50; ++round) {
     std::vector<int> out(17, 0);
     pool.ParallelFor(out.size(),
-                     [&](std::size_t i, std::size_t) { out[i] = round; });
+                     [&](std::size_t i) { out[i] = round; });
     for (const int v : out) EXPECT_EQ(v, round);
   }
 }
@@ -50,9 +35,9 @@ TEST(ThreadPoolTest, ReusableAcrossManyJobs) {
 TEST(ThreadPoolTest, ZeroAndOneElementJobs) {
   ThreadPool pool(4);
   int calls = 0;
-  pool.ParallelFor(0, [&](std::size_t, std::size_t) { ++calls; });
+  pool.ParallelFor(0, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-  pool.ParallelFor(1, [&](std::size_t i, std::size_t) {
+  pool.ParallelFor(1, [&](std::size_t i) {
     EXPECT_EQ(i, 0u);
     ++calls;
   });
@@ -61,53 +46,26 @@ TEST(ThreadPoolTest, ZeroAndOneElementJobs) {
 
 TEST(ThreadPoolTest, SingleThreadRunsInline) {
   ThreadPool pool(1);
-  EXPECT_EQ(pool.thread_count(), 1u);
   // Inline execution preserves index order — observable, and what makes
   // threads=1 exactly the serial code path.
   std::vector<std::size_t> order;
-  pool.ParallelFor(8, [&](std::size_t i, std::size_t worker) {
-    EXPECT_EQ(worker, 0u);
-    order.push_back(i);
-  });
+  pool.ParallelFor(8, [&](std::size_t i) { order.push_back(i); });
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadPoolTest, NullPoolFreeFunctionRunsInline) {
-  std::vector<std::size_t> order;
-  ParallelFor(nullptr, 5, [&](std::size_t i, std::size_t worker) {
-    EXPECT_EQ(worker, 0u);
-    order.push_back(i);
-  });
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(ThreadPoolTest, PropagatesExceptions) {
   ThreadPool pool(4);
   EXPECT_THROW(pool.ParallelFor(100,
-                                [&](std::size_t i, std::size_t) {
+                                [&](std::size_t i) {
                                   if (i == 37) throw std::runtime_error("x");
                                 }),
                std::runtime_error);
   // The pool survives a throwing job and keeps working.
   std::atomic<int> count{0};
-  pool.ParallelFor(100, [&](std::size_t, std::size_t) {
+  pool.ParallelFor(100, [&](std::size_t) {
     count.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, ExplicitChunkSizeCoversAllIndices) {
-  ThreadPool pool(2);
-  std::vector<std::atomic<int>> hits(101);
-  pool.ParallelFor(
-      hits.size(),
-      [&](std::size_t i, std::size_t) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-      },
-      /*chunk=*/7);
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
 }
 
 // Stress: many small jobs back to back from the same pool.  Under TSan
@@ -121,7 +79,7 @@ TEST(ThreadPoolTest, StressManySmallGenerations) {
     for (std::size_t i = 0; i < n; ++i) {
       expect += static_cast<std::int64_t>(i);
     }
-    pool.ParallelFor(n, [&](std::size_t i, std::size_t) {
+    pool.ParallelFor(n, [&](std::size_t i) {
       sum.fetch_add(static_cast<std::int64_t>(i),
                     std::memory_order_relaxed);
     });
@@ -131,9 +89,8 @@ TEST(ThreadPoolTest, StressManySmallGenerations) {
 
 TEST(ThreadPoolTest, HardwareDefaultWhenNonPositive) {
   ThreadPool pool(0);
-  EXPECT_GE(pool.thread_count(), 1u);
   std::atomic<int> count{0};
-  pool.ParallelFor(64, [&](std::size_t, std::size_t) {
+  pool.ParallelFor(64, [&](std::size_t) {
     count.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(count.load(), 64);

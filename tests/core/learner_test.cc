@@ -2,7 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <set>
+#include <span>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/learn.h"
+#include "net/config_parser.h"
+#include "obs/registry.h"
+#include "sim/generator.h"
 
 namespace sld::core {
 namespace {
@@ -182,6 +193,206 @@ TEST(LearnerTest, MixedCodesLearnedIndependently) {
   const std::set<std::string> expected = {"A-1-X alpha *", "B-1-Y beta *"};
   EXPECT_EQ(Canonicals(set), expected);
   EXPECT_EQ(learner.message_count(), 40u);
+}
+
+// ---- OfflineLearner --------------------------------------------------
+
+// Small α/β grids so the sweep phase runs without dominating test time.
+OfflineLearnerParams SweepParams() {
+  OfflineLearnerParams params;
+  params.sweep_temporal = true;
+  params.alpha_grid = {0.05, 0.1, 0.2};
+  params.beta_grid = {3, 5};
+  return params;
+}
+
+LocationDict DictOf(const sim::Dataset& ds) {
+  std::vector<net::ParsedConfig> parsed;
+  for (const std::string& cfg : ds.configs) {
+    parsed.push_back(net::ParseConfig(cfg));
+  }
+  return LocationDict::Build(parsed);
+}
+
+// Hand-built pathological history: empty update periods (a gap longer
+// than the period), a trailing sliver (a final period under a tenth of
+// the previous one), and routers the config dictionary has never heard
+// of.
+std::vector<syslog::SyslogRecord> EdgeCaseHistory() {
+  // Appends a number to a literal (prefix + std::to_string(n) trips a
+  // false -Wrestrict in GCC 12).
+  const auto num = [](const char* prefix, int n) {
+    std::string out(prefix);
+    out += std::to_string(n);
+    return out;
+  };
+  std::vector<syslog::SyslogRecord> history;
+  const auto add = [&](TimeMs t, std::string router, std::string code,
+                       std::string detail) {
+    syslog::SyslogRecord rec;
+    rec.time = t;
+    rec.router = std::move(router);
+    rec.code = std::move(code);
+    rec.detail = std::move(detail);
+    history.push_back(std::move(rec));
+  };
+  // Period 0 (days 0-7): a dense burst across known and unknown routers.
+  for (int i = 0; i < 200; ++i) {
+    const TimeMs t = static_cast<TimeMs>(i) * kMsPerSecond * 30;
+    add(t, i % 3 == 0 ? "ghost-router" : num("r", i % 4), "LINK-3-UPDOWN",
+        num("Interface Serial", i % 7) + "/0, changed state to " +
+            (i % 2 ? "up" : "down"));
+    if (i % 5 == 0) {
+      add(t + 500, num("r", i % 4), "OSPF-5-ADJCHG",
+          num("Process 1, Nbr 10.0.0.", i % 9) +
+              " on Serial0/0 from FULL to DOWN");
+    }
+  }
+  // Periods 1-2 are empty: a 3-week silence.  Period 3 resumes.
+  const TimeMs resume = 22 * kMsPerDay;
+  for (int i = 0; i < 100; ++i) {
+    add(resume + static_cast<TimeMs>(i) * kMsPerSecond * 60,
+        num("r", i % 4), "ENVMON-2-FAN",
+        num("Fan ", i % 3) + " failure detected");
+  }
+  // Trailing sliver: 3 messages in the next period (< 100/10).
+  const TimeMs tail = 29 * kMsPerDay;
+  for (int i = 0; i < 3; ++i) {
+    add(tail + static_cast<TimeMs>(i) * kMsPerSecond, "unknown-tail",
+        "SYS-5-CONFIG_I", "Configured from console by admin");
+  }
+  return history;
+}
+
+std::string Joined(const std::vector<std::size_t>& values) {
+  std::string out;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i != 0) out += ',';
+    out += std::to_string(values[i]);
+  }
+  return out;
+}
+
+// One golden section: a header naming the history and its weekly rule
+// base trajectory, then the serialized knowledge base line by line.
+struct KbSection {
+  std::string header;
+  std::vector<std::string> lines;
+};
+
+KbSection LearnSection(const std::string& name,
+                       std::span<const syslog::SyslogRecord> history,
+                       const LocationDict& dict,
+                       const OfflineLearnerParams& params) {
+  RuleEvolution evo;
+  LearnTimings timings;
+  const KnowledgeBase kb =
+      OfflineLearner(params).Learn(history, dict, &evo, &timings);
+  EXPECT_GT(kb.templates.size(), 0u) << name;
+  EXPECT_GT(timings.params_s, 0.0) << name;  // the sweep ran
+  EXPECT_EQ(timings.rule_period_s.size(), evo.total.size()) << name;
+  KbSection section;
+  section.header = "# " + name + " total=" + Joined(evo.total) +
+                   " added=" + Joined(evo.added) +
+                   " deleted=" + Joined(evo.deleted);
+  std::istringstream in(kb.Serialize());
+  for (std::string line; std::getline(in, line);) {
+    section.lines.push_back(line);
+  }
+  return section;
+}
+
+const char* GoldenKbPath() { return SLD_GOLDEN_DIR "/golden_kb.txt"; }
+
+// Pins the learned knowledge base byte for byte: templates and their
+// ids, temporal priors, the tuned α/β, rules, and signature frequencies,
+// plus the rule base's weekly trajectory.  Regenerate only when a change
+// to what the learner learns is intended:
+//   SLD_UPDATE_GOLDEN=1 build/tests/learner_test
+// rewrites tests/core/golden_kb.txt.
+TEST(OfflineLearnerTest, KnowledgeBaseMatchesGolden) {
+  std::vector<KbSection> got;
+  {
+    sim::DatasetSpec spec = sim::DatasetASpec();
+    spec.topo.num_routers = 4;
+    // A dictionary that knows r0..r3 but none of the ghost routers.
+    const LocationDict dict = DictOf(sim::GenerateDataset(spec, 0, 1, 402));
+    OfflineLearnerParams params = SweepParams();
+    params.rules.min_support = 0.001;
+    got.push_back(LearnSection("edge-case", EdgeCaseHistory(), dict, params));
+  }
+  {
+    sim::DatasetSpec spec = sim::DatasetASpec();
+    spec.topo.num_routers = 10;
+    const sim::Dataset history = sim::GenerateDataset(spec, 0, 16, 401);
+    got.push_back(LearnSection("generator", history.messages,
+                               DictOf(history), SweepParams()));
+  }
+  if (std::getenv("SLD_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(GoldenKbPath());
+    for (const KbSection& section : got) {
+      out << section.header << '\n';
+      for (const std::string& line : section.lines) out << line << '\n';
+    }
+  }
+
+  std::vector<KbSection> want;
+  std::ifstream in(GoldenKbPath());
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("# ", 0) == 0) {
+      want.push_back(KbSection{line, {}});
+    } else if (!want.empty()) {
+      want.back().lines.push_back(line);
+    }
+  }
+  ASSERT_EQ(want.size(), got.size()) << "missing or short " << GoldenKbPath();
+  for (std::size_t s = 0; s < got.size(); ++s) {
+    EXPECT_EQ(got[s].header, want[s].header);
+    ASSERT_EQ(got[s].lines.size(), want[s].lines.size()) << got[s].header;
+    for (std::size_t i = 0; i < got[s].lines.size(); ++i) {
+      EXPECT_EQ(got[s].lines[i], want[s].lines[i])
+          << got[s].header << " line " << i;
+    }
+  }
+}
+
+TEST(OfflineLearnerTest, EmptyHistoryYieldsEmptyKnowledgeBase) {
+  const LocationDict dict;
+  LearnTimings timings;
+  const KnowledgeBase kb = OfflineLearner().Learn(
+      std::span<const syslog::SyslogRecord>{}, dict, nullptr, &timings);
+  EXPECT_EQ(kb.templates.size(), 0u);
+  EXPECT_EQ(kb.rules.size(), 0u);
+  EXPECT_EQ(kb.history_message_count, 0u);
+  EXPECT_TRUE(timings.rule_period_s.empty());
+}
+
+TEST(OfflineLearnerTest, PublishesPhaseGaugesWhenBound) {
+  sim::DatasetSpec spec = sim::DatasetASpec();
+  spec.topo.num_routers = 4;
+  const sim::Dataset history = sim::GenerateDataset(spec, 0, 2, 403);
+  const LocationDict dict = DictOf(history);
+
+  OfflineLearner learner;
+  obs::Registry registry;
+  learner.BindMetrics(&registry);
+  const KnowledgeBase kb = learner.Learn(history.messages, dict);
+  ASSERT_GT(kb.templates.size(), 0u);
+
+  const std::string json = registry.Collect().RenderJson();
+  for (const char* phase :
+       {"templates", "augment", "priors", "rules", "freq", "total"}) {
+    EXPECT_NE(json.find("\"name\":\"learn_phase_duration_us\",\"type\":"
+                        "\"gauge\",\"labels\":{\"phase\":\"" +
+                        std::string(phase) + "\"}"),
+              std::string::npos)
+        << "missing phase gauge: " << phase;
+  }
+  EXPECT_NE(json.find("\"learn_templates\""), std::string::npos);
+  EXPECT_NE(json.find("\"learn_rules\""), std::string::npos);
+  EXPECT_NE(json.find("\"learn_history_messages\""), std::string::npos);
+  EXPECT_NE(json.find("\"learn_rule_period_duration_us\""),
+            std::string::npos);
 }
 
 }  // namespace

@@ -22,16 +22,16 @@ std::vector<SyslogRecord> SerialRead(const std::string& text,
   return ReadArchive(in, malformed);
 }
 
-void ExpectMatchesSerial(const std::string& text,
-                         const IngestOptions& options) {
+void ExpectMatchesSerial(const std::string& text) {
   std::size_t serial_malformed = 0;
   const auto serial = SerialRead(text, &serial_malformed);
   IngestStats stats;
-  const auto parallel = ParseArchive(text, options, &stats);
+  const auto parsed = ParseArchive(text, {}, &stats);
   EXPECT_EQ(stats.malformed, serial_malformed);
-  ASSERT_EQ(parallel.size(), serial.size());
+  EXPECT_EQ(stats.records, serial.size());
+  ASSERT_EQ(parsed.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(parallel[i], serial[i]) << "record " << i;
+    EXPECT_EQ(parsed[i], serial[i]) << "record " << i;
   }
 }
 
@@ -50,7 +50,7 @@ std::string Line(int day, int sec, const std::string& router,
 std::string MessyArchive(int lines) {
   std::string text;
   for (int i = 0; i < lines; ++i) {
-    if (i % 7 == 0) text += "# comment straddling blocks\n";
+    if (i % 7 == 0) text += "# comment line\n";
     if (i % 11 == 0) text += "\n";
     if (i % 13 == 0) text += "garbage that fails to parse\n";
     if (i % 17 == 0) text += "2009-13-01 00:00:01 r1 A-1-B bad month\n";
@@ -71,75 +71,55 @@ TEST(IngestTest, EmptyInput) {
   EXPECT_TRUE(records.empty());
   EXPECT_EQ(stats.records, 0u);
   EXPECT_EQ(stats.malformed, 0u);
-  EXPECT_EQ(stats.blocks, 0u);
 }
 
 TEST(IngestTest, SingleRecordSmallerThanOneBlock) {
   const std::string text =
       "2009-09-01 00:00:01 r1 LINK-3-UPDOWN some detail\n";
-  IngestOptions options;
-  options.threads = 4;
-  ExpectMatchesSerial(text, options);
-  const auto records = ParseArchive(text, options);
+  ExpectMatchesSerial(text);
+  const auto records = ParseArchive(text);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].router, "r1");
   EXPECT_EQ(records[0].detail, "some detail");
 }
 
 TEST(IngestTest, MissingTrailingNewline) {
-  IngestOptions options;
-  options.block_bytes = 32;  // several blocks; final line unterminated
   const std::string text =
       Line(1, 10, "r1", "first detail") +
       "2009-09-01 00:00:11 r2 LINK-3-UPDOWN last line no newline";
-  ExpectMatchesSerial(text, options);
-  const auto records = ParseArchive(text, options);
+  ExpectMatchesSerial(text);
+  const auto records = ParseArchive(text);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[1].detail, "last line no newline");
 }
 
 TEST(IngestTest, CrlfLineEndings) {
-  IngestOptions options;
-  options.block_bytes = 16;
   std::string text;
   text += "2009-09-01 00:00:01 r1 A-1-B detail one\r\n";
   text += "\r\n";  // CR-only content line: malformed, same as getline's
   text += "# comment\r\n";
   text += "2009-09-01 00:00:02 r2 A-1-B detail two\r\n";
-  ExpectMatchesSerial(text, options);
-  const auto records = ParseArchive(text, options);
+  ExpectMatchesSerial(text);
+  const auto records = ParseArchive(text);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].detail, "detail one");  // '\r' trimmed
   EXPECT_EQ(records[1].router, "r2");
 }
 
 TEST(IngestTest, CommentsAndBlanksStraddlingBlockBoundaries) {
-  const std::string text = MessyArchive(300);
-  // Sweep tiny block sizes so every line category starts, ends and spans
-  // block boundaries somewhere in the sweep.
-  for (const std::size_t block : {1u, 3u, 7u, 16u, 64u, 256u, 4096u}) {
-    IngestOptions options;
-    options.block_bytes = block;
-    options.threads = 4;
-    ExpectMatchesSerial(text, options);
-  }
+  // Comments and blank lines lead, trail and run back to back.
+  std::string text = "# leading comment\n\n\n";
+  text += MessyArchive(300);
+  text += "\n# trailing comment\n#\n";
+  ExpectMatchesSerial(text);
 }
 
-TEST(IngestTest, ThreadSweepIsBitIdenticalToSerial) {
+TEST(IngestTest, MessyArchiveIsBitIdenticalToSerial) {
   const std::string text = MessyArchive(2000);
   std::size_t serial_malformed = 0;
-  const auto serial = SerialRead(text, &serial_malformed);
+  SerialRead(text, &serial_malformed);
   ASSERT_GT(serial_malformed, 0u);
-  for (const int threads : {1, 4, 16}) {
-    IngestOptions options;
-    options.threads = threads;
-    options.block_bytes = 1u << 12;
-    IngestStats stats;
-    const auto parallel = ParseArchive(text, options, &stats);
-    EXPECT_EQ(stats.malformed, serial_malformed) << threads << " threads";
-    ASSERT_EQ(parallel.size(), serial.size()) << threads << " threads";
-    EXPECT_TRUE(parallel == serial) << threads << " threads";
-  }
+  ExpectMatchesSerial(text);
 }
 
 TEST(IngestTest, TimestampMemoSurvivesDateChangesAndGarbage) {
@@ -152,11 +132,7 @@ TEST(IngestTest, TimestampMemoSurvivesDateChangesAndGarbage) {
   text += "2008-03-01 00:00:00 r1 A-1-B next day\n";
   text += "2008-02-29 12:00:00.250 r1 A-1-B back in time with millis\n";
   text += "2008-02-30 00:00:00 r1 A-1-B bad day\n";
-  for (const int threads : {1, 4}) {
-    IngestOptions options;
-    options.threads = threads;
-    ExpectMatchesSerial(text, options);
-  }
+  ExpectMatchesSerial(text);
 }
 
 TEST(IngestTest, FileRoundTripAndMetrics) {
@@ -173,8 +149,6 @@ TEST(IngestTest, FileRoundTripAndMetrics) {
 
   obs::Registry registry;
   IngestOptions options;
-  options.threads = 4;
-  options.block_bytes = 1u << 12;
   options.metrics = &registry;
   IngestStats stats;
   bool ok = false;
@@ -183,7 +157,8 @@ TEST(IngestTest, FileRoundTripAndMetrics) {
   ASSERT_TRUE(ok);
   EXPECT_TRUE(records == serial);
   EXPECT_EQ(stats.bytes, text.size());
-  EXPECT_GT(stats.blocks, 1u);
+  EXPECT_EQ(stats.records, serial.size());
+  EXPECT_EQ(stats.malformed, serial_malformed);
 
   const auto snapshot = registry.Collect();
   EXPECT_EQ(snapshot.Value("ingest_bytes_total"),
@@ -192,7 +167,6 @@ TEST(IngestTest, FileRoundTripAndMetrics) {
             static_cast<std::int64_t>(serial.size()));
   EXPECT_EQ(snapshot.Value("ingest_malformed_total"),
             static_cast<std::int64_t>(serial_malformed));
-  EXPECT_EQ(snapshot.Value("ingest_threads"), 4);
 }
 
 TEST(IngestTest, MissingFileReportsFailure) {

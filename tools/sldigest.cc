@@ -6,13 +6,12 @@
 //       config file per router under DIR.
 //
 //   sldigest learn   --configs DIR --history msgs.log --kb kb.txt
-//                    [--window-s 120] [--sweep] [--learn-threads N]
+//                    [--window-s 120] [--sweep]
 //       Offline learning: templates, temporal patterns, rules, and
-//       signature frequencies, written as a knowledge-base file.  The
-//       learned KB is identical at any --learn-threads value.
+//       signature frequencies, written as a knowledge-base file.
 //
 //   sldigest digest  --configs DIR --kb kb.txt --in live.log
-//                    [--report] [--csv out.csv] [--top N]
+//                    [--report] [--csv out.csv] [--top N] [--shards N]
 //       Online digesting: prints digest lines (or a full report) and can
 //       export CSV.
 //
@@ -71,11 +70,10 @@ using tools::Flags;
 constexpr std::string_view kKnownFlags[] = {
     "checkpoint-dir", "checkpoint-interval-s", "configs", "csv",
     "dataset", "day0", "days", "dedup", "history", "hold-ms", "host",
-    "idle-close-s", "idle-exit-s", "in", "ingest-threads", "kb",
-    "learn-threads", "listeners", "max-datagrams", "metrics-interval-s",
-    "metrics-out", "out", "pace-us", "port", "pump-threads", "report",
-    "seed", "shards", "stats", "sweep", "tenant", "threads", "top",
-    "window-s", "year",
+    "idle-close-s", "idle-exit-s", "in", "kb", "listeners",
+    "max-datagrams", "metrics-interval-s", "metrics-out", "out",
+    "pace-us", "port", "pump-threads", "report", "seed", "shards",
+    "stats", "sweep", "tenant", "top", "window-s", "year",
 };
 
 // Shared --metrics-out handling: when the flag is set, snapshots of `reg`
@@ -118,16 +116,14 @@ class MetricsWriter {
   std::chrono::steady_clock::time_point last_write_;
 };
 
-// Shared archive ingest for every record-consuming mode: the parallel
-// block reader behind --ingest-threads (0 = one per core; any value
-// yields bit-identical records), ingest_* metrics when a registry is
-// given, and a stderr warning when malformed lines were skipped — bad
-// input is no longer silently dropped.
+// Shared archive ingest for every record-consuming mode: the one-pass
+// mmap reader, ingest_* metrics when a registry is given, and a stderr
+// warning when malformed lines were skipped, so bad input is never
+// silently dropped.
 std::vector<syslog::SyslogRecord> ReadRecordsCli(
-    Flags& flags, const std::string& path, obs::Registry* metrics,
-    bool& ok, std::size_t* malformed_out = nullptr) {
+    const std::string& path, obs::Registry* metrics, bool& ok,
+    std::size_t* malformed_out = nullptr) {
   syslog::IngestOptions opts;
-  opts.threads = static_cast<int>(flags.GetInt("ingest-threads", 1));
   opts.metrics = metrics;
   syslog::IngestStats stats;
   auto records = syslog::ReadArchiveFileParallel(path, opts, &stats, &ok);
@@ -141,6 +137,20 @@ std::vector<syslog::SyslogRecord> ReadRecordsCli(
   }
   if (malformed_out != nullptr) *malformed_out = stats.malformed;
   return records;
+}
+
+// Writes `text` to `path`.  Closing before the check makes a failed
+// final flush (a full disk) count as a failed write; a failure prints
+// "cannot write PATH".
+bool WriteTextFile(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
 }
 
 int CmdGen(Flags& flags) {
@@ -158,12 +168,16 @@ int CmdGen(Flags& flags) {
     std::fprintf(stderr, "cannot write %s\n", out.c_str());
     return 1;
   }
-  std::filesystem::create_directories(configs);
+  std::error_code ec;
+  std::filesystem::create_directories(configs, ec);
+  if (ec) {
+    std::fprintf(stderr, "cannot create %s\n", configs.c_str());
+    return 1;
+  }
   for (std::size_t i = 0; i < ds.configs.size(); ++i) {
     const std::string path =
         configs + "/" + ds.topo.routers[i].name + ".cfg";
-    std::ofstream cfg(path);
-    cfg << ds.configs[i];
+    if (!WriteTextFile(path, ds.configs[i])) return 1;
   }
   std::printf("wrote %zu messages to %s and %zu configs to %s/\n",
               ds.messages.size(), out.c_str(), ds.configs.size(),
@@ -188,26 +202,18 @@ int CmdLearn(Flags& flags) {
   std::size_t malformed = 0;
   bool ok = true;
   const auto records = ReadRecordsCli(
-      flags, history, metrics_out.enabled() ? &metrics : nullptr, ok,
-      &malformed);
+      history, metrics_out.enabled() ? &metrics : nullptr, ok, &malformed);
   if (!ok) return 1;
   core::OfflineLearnerParams params;
   params.rules.window_ms = flags.GetInt("window-s", 120) * kMsPerSecond;
   params.sweep_temporal = flags.Has("sweep");
-  // 1 = serial; 0 = one thread per core.  Any value learns the same KB.
-  params.threads = static_cast<int>(flags.GetInt("learn-threads", 1));
   core::OfflineLearner learner(params);
   if (metrics_out.enabled()) learner.BindMetrics(&metrics);
   core::LearnTimings timings;
   const core::KnowledgeBase kb =
       learner.Learn(records, dict, nullptr, &timings);
   metrics_out.Final();
-  std::ofstream out(kb_path);
-  out << kb.Serialize();
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", kb_path.c_str());
-    return 1;
-  }
+  if (!WriteTextFile(kb_path, kb.Serialize())) return 1;
   std::printf(
       "learned from %zu messages (%zu malformed skipped): %zu templates, "
       "%zu rules, alpha=%g beta=%g in %.2fs -> %s\n",
@@ -226,7 +232,7 @@ int CmdDigest(Flags& flags) {
   MetricsWriter metrics_out(flags, &metrics);
   engine::EngineOptions opts;
   opts.shards =
-      static_cast<std::size_t>(std::max(1L, flags.GetInt("threads", 1)));
+      static_cast<std::size_t>(std::max(1L, flags.GetInt("shards", 1)));
   opts.metrics = metrics_out.enabled() ? &metrics : nullptr;
   std::string error;
   const auto eng = engine::Engine::Load(configs, kb_path, opts, &error);
@@ -235,8 +241,8 @@ int CmdDigest(Flags& flags) {
     return 1;
   }
   bool ok = true;
-  const auto records = ReadRecordsCli(
-      flags, in_path, metrics_out.enabled() ? &metrics : nullptr, ok);
+  const auto records =
+      ReadRecordsCli(in_path, metrics_out.enabled() ? &metrics : nullptr, ok);
   if (!ok) return 1;
   const core::DigestResult result = eng->Digest(records);
   metrics_out.Final();
@@ -249,9 +255,9 @@ int CmdDigest(Flags& flags) {
       std::printf("%s\n", result.events[i].Format().c_str());
     }
   }
-  if (flags.Has("csv")) {
-    std::ofstream csv(flags.Get("csv"));
-    csv << core::ToCsv(result);
+  if (flags.Has("csv") &&
+      !WriteTextFile(flags.Get("csv"), core::ToCsv(result))) {
+    return 1;
   }
   return 0;
 }
@@ -272,7 +278,7 @@ int CmdStream(Flags& flags) {
   const bool want_metrics = metrics_out.enabled() || flags.Has("stats");
   engine::EngineOptions opts;
   opts.shards =
-      static_cast<std::size_t>(std::max(1L, flags.GetInt("threads", 1)));
+      static_cast<std::size_t>(std::max(1L, flags.GetInt("shards", 1)));
   opts.hold_ms = flags.GetInt("hold-ms", 5000);
   opts.idle_close_ms = flags.GetInt("idle-close-s", 1800) * kMsPerSecond;
   opts.metrics = want_metrics ? &metrics : nullptr;
@@ -283,8 +289,8 @@ int CmdStream(Flags& flags) {
     return 2;
   }
   bool ok = true;
-  const auto records = ReadRecordsCli(
-      flags, in_path, want_metrics ? &metrics : nullptr, ok);
+  const auto records =
+      ReadRecordsCli(in_path, want_metrics ? &metrics : nullptr, ok);
   if (!ok) return 1;
   eng->SetEventSink([](const core::DigestEvent& ev) {
     std::printf("%s\n", ev.Format().c_str());
@@ -450,7 +456,7 @@ int CmdReplay(Flags& flags) {
     return 1;
   }
   bool ok = true;
-  const auto records = ReadRecordsCli(flags, in_path, nullptr, ok);
+  const auto records = ReadRecordsCli(in_path, nullptr, ok);
   if (!ok) return 1;
   // Pace the replay so the receiver's socket buffer keeps up (UDP has no
   // flow control); default ~20k datagrams/s.
@@ -544,13 +550,11 @@ void Usage() {
       "--configs DIR\n"
       "  learn   --configs DIR --history FILE --kb FILE [--window-s N] "
       "[--sweep]\n"
-      "          [--learn-threads N]  (N=0: one thread per core; same KB "
-      "at any N)\n"
       "  digest  --configs DIR --kb FILE --in FILE [--report] [--csv FILE] "
       "[--top N]\n"
-      "          [--threads N]\n"
+      "          [--shards N]\n"
       "  stream  --configs DIR --kb FILE --in FILE [--idle-close-s N] "
-      "[--threads N]\n"
+      "[--shards N]\n"
       "          [--hold-ms N] [--stats]\n"
       "  serve   --configs DIR --kb FILE [--port N] [--year N]\n"
       "          or repeatable --tenant NAME:CONFIGS:KB[:PORT] to serve "
@@ -582,12 +586,9 @@ void Usage() {
       "    (Prometheus text); --metrics-interval-s N rewrites them at most "
       "every\n"
       "    N seconds (learn/digest/stream/serve)\n"
-      "  --ingest-threads N reads archives with N parse workers "
-      "(learn/digest/\n"
-      "    stream/replay; N=0: one per core; same records at any N)\n"
-      "  --threads / --shards N digests with N shard workers (N=1 runs "
-      "inline;\n"
-      "    same events at any N)\n",
+      "  --shards N digests with N shard workers (digest/stream/serve; "
+      "N=1 runs\n"
+      "    inline; same events at any N)\n",
       stderr);
 }
 
