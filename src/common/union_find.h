@@ -26,6 +26,13 @@ class UnionFind {
     return parent_.size() - 1;
   }
 
+  // Makes x a fresh singleton again, for a caller that recycles the
+  // elements of a retired set: no element outside that set may point at x.
+  void Reset(std::size_t x) noexcept {
+    parent_[x] = x;
+    size_[x] = 1;
+  }
+
   // Representative of x's set.
   std::size_t Find(std::size_t x) noexcept {
     std::size_t root = x;

@@ -333,10 +333,14 @@ std::int64_t MetricsSnapshot::Value(const std::string& name) const {
 
 bool WriteSnapshotFiles(const MetricsSnapshot& snapshot,
                         const std::string& path) {
+  // Each stream closes before its check, so a failed final flush (a full
+  // disk) counts as a failed write.
   std::ofstream json(path, std::ios::trunc);
   json << snapshot.RenderJson();
+  json.close();
   std::ofstream prom(path + ".prom", std::ios::trunc);
   prom << snapshot.RenderPrometheus();
+  prom.close();
   return static_cast<bool>(json) && static_cast<bool>(prom);
 }
 

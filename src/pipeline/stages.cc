@@ -73,10 +73,11 @@ void RuleStage::Feed(const core::Augmented& msg, std::vector<MergeEdge>* out,
       fired_rules->push_back(core::MiningStats::PairKey(msg.tmpl, tmpl));
     }
     // The join needs msg merged with the newest entry while that entry
-    // was open: no sweep falls between them, and no Flush before a
-    // restore closed it.
+    // was open: in one sweep bucket no sweep falls between them, and no
+    // Flush before a restore closed it.
     if (joins && newest.seq >= live_seq_ &&
-        msg.time - newest.time < GroupTracker::kSweepIntervalMs) {
+        GroupTracker::SweepBucket(msg.time) ==
+            GroupTracker::SweepBucket(newest.time)) {
       list.joined = list.pos.size() - list.head;
       list.joiner = msg.raw_index;
       list.scope = scope;

@@ -2,11 +2,46 @@
 
 #include <algorithm>
 #include <mutex>
+#include <tuple>
+#include <utility>
 
 #include "ckpt/codec.h"
 #include "obs/registry.h"
 
 namespace sld::pipeline {
+
+void GroupTracker::Order::Insert(GroupMeta* g) noexcept {
+  GroupMeta* after = tail_;
+  while (after != nullptr && after->*clock_ > g->*clock_) {
+    after = (after->*link_).prev;
+  }
+  Link& link = g->*link_;
+  link.prev = after;
+  link.next = NextOf(after);
+  NextOf(after) = g;
+  PrevOf(link.next) = g;
+}
+
+void GroupTracker::Order::Erase(GroupMeta* g) noexcept {
+  Link& link = g->*link_;
+  NextOf(link.prev) = link.next;
+  PrevOf(link.next) = link.prev;
+  link = {};
+}
+
+void GroupTracker::Order::Fold(GroupMeta* into, GroupMeta* from,
+                               bool into_holds) noexcept {
+  if (into_holds) {
+    Erase(from);
+    return;
+  }
+  Erase(into);
+  Link& link = into->*link_;
+  link = from->*link_;
+  NextOf(link.prev) = into;
+  PrevOf(link.next) = into;
+  from->*link_ = {};
+}
 
 GroupTracker::GroupTracker(const core::KnowledgeBase* kb,
                            const core::LocationDict* dict,
@@ -47,69 +82,88 @@ void GroupTracker::SyncGauges() noexcept {
 
 std::vector<core::DigestEvent> GroupTracker::Observe(TimeMs now) {
   std::vector<core::DigestEvent> events;
-  // Saturates: a snapshot that an older build took after Flush carries
-  // the sentinel clock INT64_MAX - idle - 1.
-  const TimeMs due = clock_ > INT64_MAX - kSweepIntervalMs
-                         ? INT64_MAX
-                         : clock_ + kSweepIntervalMs;
-  if (now >= due) events = CloseIdle(now, /*flushing=*/false);
+  // A snapshot that an older build took after Flush carries the sentinel
+  // clock INT64_MAX - idle - 1, whose bucket no stream time reaches.
+  if (SweepBucket(now) > SweepBucket(clock_)) {
+    events = Sweep(now, /*flushing=*/false);
+  }
   clock_ = std::max(clock_, now);
   return events;
 }
 
-void GroupTracker::Add(core::Augmented msg) {
-  const std::size_t index = arena_.size();
+void GroupTracker::Add(const core::Augmented& msg) {
   const std::size_t seq = msg.raw_index;
   const TimeMs t = msg.time;
-  arena_.push_back(std::move(msg));
-  closed_.push_back(false);
-  uf_.Add();
-  slot_[seq] = index;
-  groups_[uf_.Find(index)] = {t, t};
+  std::uint32_t s = free_;
+  if (s != kNil) {
+    free_ = next_[s];
+    next_[s] = kNil;
+    arena_[s] = msg;
+    uf_.Reset(s);
+  } else {
+    s = static_cast<std::uint32_t>(arena_.size());
+    arena_.push_back(msg);
+    next_.push_back(kNil);
+    uf_.Add();
+  }
+  if (slot_of_.empty()) seq_base_ = seq;
+  slot_of_.resize(seq - seq_base_, kNil);  // a gap in the sequence
+  slot_of_.push_back(s);
+  GroupMeta& g = groups_[s];
+  g.root = s;
+  g.first_time = t;
+  g.last_time = t;
+  g.head = s;
+  g.tail = s;
+  recent_.Insert(&g);
+  aged_.Insert(&g);
   ++open_messages_;
   ++processed_;
   SyncGauges();
-
-  if (arena_.size() > 4096 && arena_.size() > 4 * open_messages_) {
-    CompactArena();
-  }
 }
 
 void GroupTracker::MergeSlots(std::size_t a, std::size_t b) {
   const std::size_t ra = uf_.Find(a);
   const std::size_t rb = uf_.Find(b);
   if (ra == rb) return;
-  const GroupMeta ma = groups_[ra];
-  const GroupMeta mb = groups_[rb];
-  groups_.erase(ra);
-  groups_.erase(rb);
-  const std::size_t merged = uf_.Union(ra, rb);
-  groups_[merged] = {std::min(ma.first_time, mb.first_time),
-                     std::max(ma.last_time, mb.last_time)};
+  const std::size_t root = uf_.Union(ra, rb);
+  GroupMeta& into = groups_.find(root)->second;
+  const auto from_it = groups_.find(root == ra ? rb : ra);
+  GroupMeta& from = from_it->second;
+  // Each order keeps the place of the group whose clock the merged group
+  // takes: the later last activity, the earlier first message.
+  recent_.Fold(&into, &from, into.last_time >= from.last_time);
+  aged_.Fold(&into, &from, into.first_time <= from.first_time);
+  into.first_time = std::min(into.first_time, from.first_time);
+  into.last_time = std::max(into.last_time, from.last_time);
+  next_[into.tail] = from.head;
+  into.tail = from.tail;
+  groups_.erase(from_it);
 }
 
 void GroupTracker::ApplyEdges(const std::vector<MergeEdge>& edges) {
   for (const MergeEdge& e : edges) {
-    const auto a = slot_.find(e.a);
-    if (a == slot_.end()) continue;  // already emitted; starts anew
-    const auto b = slot_.find(e.b);
-    if (b == slot_.end()) continue;
-    MergeSlots(a->second, b->second);
+    const std::uint32_t a = SlotOf(e.a);
+    if (a == kNil) continue;  // already emitted; starts anew
+    const std::uint32_t b = SlotOf(e.b);
+    if (b == kNil) continue;
+    MergeSlots(a, b);
   }
 }
 
 bool GroupTracker::SameGroup(std::size_t seq_a, std::size_t seq_b) {
-  const auto a = slot_.find(seq_a);
-  if (a == slot_.end()) return false;
-  const auto b = slot_.find(seq_b);
-  if (b == slot_.end()) return false;
-  return uf_.Connected(a->second, b->second);
+  const std::uint32_t a = SlotOf(seq_a);
+  const std::uint32_t b = SlotOf(seq_b);
+  return a != kNil && b != kNil && uf_.Connected(a, b);
 }
 
 void GroupTracker::Touch(std::size_t seq, TimeMs t) {
-  const auto it = slot_.find(seq);
-  if (it == slot_.end()) return;
-  groups_[uf_.Find(it->second)].last_time = t;
+  const std::uint32_t s = SlotOf(seq);
+  if (s == kNil) return;
+  GroupMeta& g = groups_.find(uf_.Find(s))->second;
+  g.last_time = t;
+  recent_.Erase(&g);
+  recent_.Insert(&g);
 }
 
 void GroupTracker::NoteRules(const std::vector<std::uint64_t>& keys) {
@@ -123,58 +177,66 @@ core::DigestEvent GroupTracker::BuildLocked(
   return core::BuildEvent(members, *kb_, *dict_);
 }
 
-std::vector<core::DigestEvent> GroupTracker::CloseIdle(TimeMs now,
-                                                       bool flushing) {
-  std::vector<std::size_t> closing;
-  for (const auto& [root, meta] : groups_) {
-    const bool idle = now - meta.last_time > idle_close_ms_;
-    const bool aged = now - meta.first_time > max_group_age_ms_;
-    if (idle || aged) {
-      closing.push_back(root);
-      if (cells_.closed_idle != nullptr) {
-        if (flushing) {
-          cells_.closed_flush->Inc();
-        } else if (idle) {
-          cells_.closed_idle->Inc();
-        } else {
-          cells_.closed_max_age->Inc();
-        }
-      }
-    }
+core::DigestEvent GroupTracker::Close(GroupMeta* g) {
+  recent_.Erase(g);
+  aged_.Erase(g);
+  // Members in ascending sequence order, so score summation matches the
+  // batch digester bit for bit.
+  close_order_.clear();
+  for (std::uint32_t s = g->head; s != kNil; s = next_[s]) {
+    close_order_.emplace_back(arena_[s].raw_index, s);
   }
-  if (closing.empty()) return {};
+  std::sort(close_order_.begin(), close_order_.end());
+  close_members_.clear();
+  for (const auto& [seq, s] : close_order_) {
+    close_members_.push_back(&arena_[s]);
+  }
+  if (cells_.event_messages != nullptr) {
+    cells_.event_messages->Observe(static_cast<double>(close_order_.size()));
+  }
+  core::DigestEvent event = BuildLocked(close_members_);
+  // No open slot points into a closed group, so Add may reuse its slots.
+  for (const auto& [seq, s] : close_order_) {
+    slot_of_[seq - seq_base_] = kNil;
+    next_[s] = free_;
+    free_ = s;
+  }
+  while (!slot_of_.empty() && slot_of_.front() == kNil) {
+    slot_of_.pop_front();
+    ++seq_base_;
+  }
+  open_messages_ -= close_order_.size();
+  const std::size_t root = g->root;
+  groups_.erase(root);
+  return event;
+}
 
-  // One arena scan (ascending sequence order, so score summation matches
-  // the batch digester bit for bit) collects every closing group.
-  std::unordered_map<std::size_t, std::vector<const core::Augmented*>>
-      members;
-  for (const std::size_t root : closing) members[root];
-  for (std::size_t i = 0; i < arena_.size(); ++i) {
-    if (closed_[i]) continue;
-    const auto it = members.find(uf_.Find(i));
-    if (it == members.end()) continue;
-    it->second.push_back(&arena_[i]);
-    closed_[i] = true;
-    slot_.erase(arena_[i].raw_index);
-    --open_messages_;
-  }
+std::vector<core::DigestEvent> GroupTracker::Sweep(TimeMs now,
+                                                   bool flushing) {
   std::vector<core::DigestEvent> events;
-  events.reserve(closing.size());
-  for (const std::size_t root : closing) {
-    if (!members[root].empty()) {
-      if (cells_.event_messages != nullptr) {
-        cells_.event_messages->Observe(
-            static_cast<double>(members[root].size()));
-      }
-      events.push_back(BuildLocked(members[root]));
+  const auto close = [&](GroupMeta* g, obs::Counter* reason) {
+    if (reason != nullptr) reason->Inc();
+    events.push_back(Close(g));
+  };
+  // Both orders run oldest first, so the groups due are a prefix of
+  // each.  Reasons keep their precedence: flush, then idle, then max age.
+  while (GroupMeta* g = recent_.oldest()) {
+    if (flushing) {
+      close(g, cells_.closed_flush);
+    } else if (now - g->last_time > idle_close_ms_) {
+      close(g, cells_.closed_idle);
+    } else {
+      break;
     }
-    groups_.erase(root);
+  }
+  while (GroupMeta* g = aged_.oldest()) {
+    if (now - g->first_time <= max_group_age_ms_) break;
+    close(g, cells_.closed_max_age);
   }
   SyncGauges();
   // Start-time ties are broken by the first member's stream index — a
-  // total order over groups that survives checkpoint/restore, where the
-  // groups_ map is rebuilt and its iteration order (the old implicit
-  // tiebreak) changes.
+  // total order over groups that survives checkpoint/restore and slot
+  // reuse.
   std::sort(events.begin(), events.end(),
             [](const core::DigestEvent& a, const core::DigestEvent& b) {
               if (a.start != b.start) return a.start < b.start;
@@ -184,48 +246,16 @@ std::vector<core::DigestEvent> GroupTracker::CloseIdle(TimeMs now,
 }
 
 std::vector<core::DigestEvent> GroupTracker::Flush() {
-  std::vector<core::DigestEvent> events =
-      CloseIdle(INT64_MAX - 1, /*flushing=*/true);
-  CompactArena();
-  SyncGauges();
+  std::vector<core::DigestEvent> events = Sweep(clock_, /*flushing=*/true);
+  // Nothing is open: hand the storage back before the events go out.
+  arena_ = {};
+  next_ = {};
+  free_ = kNil;
+  uf_ = UnionFind(0);
+  slot_of_ = {};
+  close_order_ = {};
+  close_members_ = {};
   return events;
-}
-
-void GroupTracker::CompactArena() {
-  // Remap open messages into a fresh arena, preserving group structure.
-  std::vector<core::Augmented> new_arena;
-  new_arena.reserve(open_messages_);
-  std::vector<std::size_t> remap(arena_.size(), SIZE_MAX);
-  for (std::size_t i = 0; i < arena_.size(); ++i) {
-    if (closed_[i]) continue;
-    remap[i] = new_arena.size();
-    new_arena.push_back(std::move(arena_[i]));
-  }
-  UnionFind new_uf(new_arena.size());
-  // Reconstruct unions: connect every open message to its root's first
-  // open representative.
-  std::unordered_map<std::size_t, std::size_t> first_of_root;
-  std::unordered_map<std::size_t, GroupMeta> new_groups;
-  for (std::size_t i = 0; i < arena_.size(); ++i) {
-    if (remap[i] == SIZE_MAX) continue;
-    const std::size_t root = uf_.Find(i);
-    const auto [it, inserted] = first_of_root.emplace(root, remap[i]);
-    if (!inserted) new_uf.Union(it->second, remap[i]);
-  }
-  for (const auto& [root, meta] : groups_) {
-    const auto it = first_of_root.find(root);
-    if (it != first_of_root.end()) {
-      new_groups[new_uf.Find(it->second)] = meta;
-    }
-  }
-  arena_ = std::move(new_arena);
-  closed_.assign(arena_.size(), false);
-  uf_ = std::move(new_uf);
-  groups_ = std::move(new_groups);
-  slot_.clear();
-  for (std::size_t i = 0; i < arena_.size(); ++i) {
-    slot_[arena_[i].raw_index] = i;
-  }
 }
 
 namespace {
@@ -254,27 +284,69 @@ core::Augmented LoadAugmented(ckpt::Reader* r) {
   return msg;
 }
 
+// A forest the tracker can rebuild from: every parent in range, no
+// cycle, and exactly one group row per root.
+bool SoundForest(const std::vector<std::size_t>& parents,
+                 const std::vector<std::size_t>& rows) {
+  const std::size_t n = parents.size();
+  // 0: not seen; 1: on the current walk; 2: reaches a root.
+  std::vector<std::uint8_t> state(n, 0);
+  std::size_t roots = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (parents[i] >= n) return false;
+    if (parents[i] == i) ++roots;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t x = i;
+    while (state[x] == 0 && parents[x] != x) {
+      state[x] = 1;
+      x = parents[x];
+    }
+    if (state[x] == 1) return false;  // the walk met itself: a cycle
+    state[x] = 2;
+    for (std::size_t y = i; state[y] == 1; y = parents[y]) state[y] = 2;
+  }
+  std::vector<bool> has_row(n, false);
+  for (const std::size_t root : rows) {
+    if (root >= n || parents[root] != root || has_row[root]) return false;
+    has_row[root] = true;
+  }
+  return rows.size() == roots;
+}
+
 }  // namespace
 
 void GroupTracker::SaveState(ckpt::Writer* w) {
-  // After compaction the arena holds exactly the open messages in
-  // sequence order, closed_ is all-false, and slot_ is the identity —
-  // none of those need bytes in the snapshot.
-  CompactArena();
-  w->U64(arena_.size());
-  for (const core::Augmented& msg : arena_) SaveAugmented(msg, w);
-  for (const std::size_t p : uf_.parents()) w->U64(p);
-  for (const std::size_t s : uf_.sizes()) w->U64(s);
-  w->U64(groups_.size());
-  // Group metadata sorted by root for a canonical byte stream.
-  std::vector<std::pair<std::size_t, GroupMeta>> metas(groups_.begin(),
-                                                       groups_.end());
-  std::sort(metas.begin(), metas.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [root, meta] : metas) {
+  // The canonical layout: open messages in sequence order, each pointing
+  // at its group's first member, which carries the group size.
+  std::vector<std::uint32_t> open;
+  open.reserve(open_messages_);
+  for (const std::uint32_t s : slot_of_) {
+    if (s != kNil) open.push_back(s);
+  }
+  std::vector<std::size_t> parents(open.size());
+  std::vector<std::size_t> sizes(open.size(), 1);
+  std::unordered_map<std::size_t, std::size_t> first_of_root;
+  for (std::size_t i = 0; i < open.size(); ++i) {
+    const auto [it, fresh] = first_of_root.emplace(uf_.Find(open[i]), i);
+    parents[i] = it->second;
+    if (!fresh) ++sizes[it->second];
+  }
+  w->U64(open.size());
+  for (const std::uint32_t s : open) SaveAugmented(arena_[s], w);
+  for (const std::size_t p : parents) w->U64(p);
+  for (const std::size_t size : sizes) w->U64(size);
+  std::vector<std::pair<std::size_t, const GroupMeta*>> rows;
+  rows.reserve(groups_.size());
+  for (const auto& [root, meta] : groups_) {
+    rows.emplace_back(first_of_root.at(root), &meta);
+  }
+  std::sort(rows.begin(), rows.end());
+  w->U64(rows.size());
+  for (const auto& [root, meta] : rows) {
     w->U64(root);
-    w->I64(meta.first_time);
-    w->I64(meta.last_time);
+    w->I64(meta->first_time);
+    w->I64(meta->last_time);
   }
   std::vector<std::uint64_t> rules(active_rules_.begin(),
                                    active_rules_.end());
@@ -289,43 +361,80 @@ bool GroupTracker::LoadState(ckpt::Reader* r) {
   const std::uint64_t n = r->Count(8);
   arena_.clear();
   arena_.reserve(n);
-  slot_.clear();
   for (std::uint64_t i = 0; i < n && r->ok(); ++i) {
     arena_.push_back(LoadAugmented(r));
-    slot_[arena_.back().raw_index] = i;
   }
-  closed_.assign(arena_.size(), false);
   std::vector<std::size_t> parents(arena_.size());
   for (std::size_t& p : parents) p = r->U64();
   std::vector<std::size_t> sizes(arena_.size());
   for (std::size_t& s : sizes) s = r->U64();
-  uf_.Rebuild(std::move(parents), std::move(sizes));
   groups_.clear();
+  std::vector<std::size_t> roots;
   const std::uint64_t n_groups = r->Count(24);
   for (std::uint64_t i = 0; i < n_groups && r->ok(); ++i) {
     const std::size_t root = r->U64();
-    GroupMeta meta;
-    meta.first_time = r->I64();
-    meta.last_time = r->I64();
-    groups_[root] = meta;
+    GroupMeta& g = groups_[root];
+    g.root = root;
+    g.first_time = r->I64();
+    g.last_time = r->I64();
+    roots.push_back(root);
   }
   active_rules_.clear();
   const std::uint64_t n_rules = r->Count(8);
   for (std::uint64_t i = 0; i < n_rules && r->ok(); ++i) {
     active_rules_.insert(r->U64());
   }
-  open_messages_ = arena_.size();
   processed_ = r->U64();
   clock_ = r->I64();
-  if (!r->ok()) return false;
-  // Sanity: every union-find index must be in range and every group root
-  // must exist; refuse rather than corrupt downstream state.
-  for (const std::size_t p : uf_.parents()) {
-    if (p >= arena_.size()) return false;
+  // Refuse rather than corrupt downstream state: Find must terminate,
+  // and the member lists and the idle index are built from the rows.
+  if (!r->ok() || arena_.size() >= kNil || !SoundForest(parents, roots)) {
+    return false;
   }
-  for (const auto& entry : groups_) {
-    if (entry.first >= arena_.size()) return false;
+  // Open messages come in increasing sequence order, each below the
+  // processed count, which bounds the slot table.
+  for (std::size_t i = 0; i < arena_.size(); ++i) {
+    const std::size_t seq = arena_[i].raw_index;
+    if (seq >= processed_ || (i > 0 && seq <= arena_[i - 1].raw_index)) {
+      return false;
+    }
   }
+  seq_base_ = arena_.empty() ? 0 : arena_.front().raw_index;
+  slot_of_.clear();
+  for (std::uint32_t s = 0; s < arena_.size(); ++s) {
+    slot_of_.resize(arena_[s].raw_index - seq_base_, kNil);
+    slot_of_.push_back(s);
+  }
+  uf_.Rebuild(std::move(parents), std::move(sizes));
+  next_.assign(arena_.size(), kNil);
+  free_ = kNil;
+  std::vector<GroupMeta*> order;
+  order.reserve(groups_.size());
+  for (auto& [root, g] : groups_) order.push_back(&g);
+  for (std::uint32_t s = 0; s < arena_.size(); ++s) {
+    GroupMeta& g = groups_.find(uf_.Find(s))->second;
+    if (g.head == kNil) {
+      g.head = s;
+    } else {
+      next_[g.tail] = s;
+    }
+    g.tail = s;
+  }
+  // Both orders break clock ties by root index.
+  recent_.Clear();
+  std::sort(order.begin(), order.end(), [](const GroupMeta* a,
+                                           const GroupMeta* b) {
+    return std::tie(a->last_time, a->root) < std::tie(b->last_time, b->root);
+  });
+  for (GroupMeta* g : order) recent_.Insert(g);
+  aged_.Clear();
+  std::sort(order.begin(), order.end(), [](const GroupMeta* a,
+                                           const GroupMeta* b) {
+    return std::tie(a->first_time, a->root) <
+           std::tie(b->first_time, b->root);
+  });
+  for (GroupMeta* g : order) aged_.Insert(g);
+  open_messages_ = arena_.size();
   SyncGauges();
   return true;
 }

@@ -182,27 +182,43 @@ std::vector<std::string> RunGolden(World& w, std::size_t shards,
 }
 
 // Crash leg: checkpoint at `ckpt_at` records, keep going to `crash_at`,
-// photograph the checkpoint dir into `image_dir` (snapshot stale, log
-// current — exactly what a SIGKILL leaves behind), then let the engine
-// be destroyed.
+// wait until the log holds an event the snapshot does not, photograph
+// the checkpoint dir into `image_dir` (snapshot stale, log ahead —
+// exactly what a SIGKILL leaves behind), then let the engine be
+// destroyed.
 void RunUntilCrash(World& w, std::size_t shards, const std::string& dir,
                    const std::string& image_dir, std::size_t ckpt_at,
                    std::size_t crash_at) {
   core::KnowledgeBase kb = CloneKb(w.kb);
+  // Counts events as the sink sees them, after their commit's fsync (on
+  // the merge thread at shards > 1).  Declared before the engine, whose
+  // destructor may still deliver.
+  std::atomic<std::uint64_t> logged{0};
   Engine eng(&kb, &w.dict, DurableOptions(shards));
+  eng.SetEventSink([&logged](const core::DigestEvent&) {
+    logged.fetch_add(1, std::memory_order_relaxed);
+  });
   std::string error;
   ASSERT_TRUE(eng.OpenDurable(dir, &error)) << error;
+  std::uint64_t at_checkpoint = 0;
   for (std::size_t i = 0; i < crash_at && i < w.live.messages.size(); ++i) {
     eng.IngestRecord(w.live.messages[i]);
     eng.Pump();
     if (i + 1 == ckpt_at) {
       ASSERT_TRUE(eng.Checkpoint(&error)) << error;
+      at_checkpoint = eng.event_count();
     }
   }
-  // Let the merge thread drain in-flight closes (shards > 1); a torn or
-  // shorter log would still be a valid crash image, just a less
-  // interesting one.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // The restart leg's replay_cursor and replay_suppressed checks need a
+  // committed event past the checkpoint; the merge thread may still be
+  // closing it, however slow the build.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (logged.load(std::memory_order_relaxed) <= at_checkpoint) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "no event committed after the checkpoint at record " << ckpt_at;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   CopyCrashImage(dir, image_dir);
 }
 

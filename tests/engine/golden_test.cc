@@ -4,12 +4,12 @@
 // One fixed seeded dataset-A day is digested through the batch path
 // (Engine::Digest) and through the live path (IngestRecord / Pump /
 // Finish with a sink) at 1 and 4 shards.  The live path runs twice: at
-// the default horizon (S_max + W, no group reaches the max age) and at
-// a 600 s idle horizon with a 1 h max age, where idle closes and max-age
-// force-closes fire mid-stream.  Every run must reproduce the committed
-// golden file line for line: the formatted event, its score, (batch)
-// the message and active-rule counts, and (finite horizons) how many
-// groups closed for each reason.
+// the default horizon (S_max + W, where the engine's 24 h max age splits
+// one day-long train) and at a 600 s idle horizon with a 1 h max age.
+// Both close groups mid-stream, on the tracker's 30 s sweep cadence.
+// Every run must reproduce the committed golden file line for line: the
+// formatted event, its score, (batch) the message and active-rule
+// counts, and (finite horizons) how many groups closed for each reason.
 //
 // The dense leg digests slgen's message mix (loadgen::Stream) from
 // routers absent from the configs through the batch path at the same

@@ -78,8 +78,9 @@ constexpr std::string_view kKnownFlags[] = {
 
 // Shared --metrics-out handling: when the flag is set, snapshots of `reg`
 // are written to PATH (JSON) and PATH.prom (Prometheus text).  Periodic()
-// rewrites them at most once per `interval_s` of wall clock; Final()
-// always writes.
+// rewrites them at most once per `interval_s` of wall clock, and a failed
+// rewrite only prints; Final() always writes, and the command exits 1
+// when it fails.
 class MetricsWriter {
  public:
   MetricsWriter(Flags& flags, obs::Registry* reg)
@@ -101,11 +102,13 @@ class MetricsWriter {
     wrote_once_ = true;
   }
 
-  void Final() {
-    if (!enabled()) return;
-    if (!obs::WriteSnapshotFiles(reg_->Collect(), path_)) {
-      std::fprintf(stderr, "cannot write metrics to %s\n", path_.c_str());
+  // False, after printing why, when either file cannot be written.
+  bool Final() {
+    if (!enabled() || obs::WriteSnapshotFiles(reg_->Collect(), path_)) {
+      return true;
     }
+    std::fprintf(stderr, "cannot write metrics to %s\n", path_.c_str());
+    return false;
   }
 
  private:
@@ -212,7 +215,7 @@ int CmdLearn(Flags& flags) {
   core::LearnTimings timings;
   const core::KnowledgeBase kb =
       learner.Learn(records, dict, nullptr, &timings);
-  metrics_out.Final();
+  const bool metrics_ok = metrics_out.Final();
   if (!WriteTextFile(kb_path, kb.Serialize())) return 1;
   std::printf(
       "learned from %zu messages (%zu malformed skipped): %zu templates, "
@@ -220,7 +223,7 @@ int CmdLearn(Flags& flags) {
       records.size(), malformed, kb.templates.size(), kb.rules.size(),
       kb.temporal_params.alpha, kb.temporal_params.beta, timings.total_s,
       kb_path.c_str());
-  return 0;
+  return metrics_ok ? 0 : 1;
 }
 
 int CmdDigest(Flags& flags) {
@@ -245,7 +248,7 @@ int CmdDigest(Flags& flags) {
       ReadRecordsCli(in_path, metrics_out.enabled() ? &metrics : nullptr, ok);
   if (!ok) return 1;
   const core::DigestResult result = eng->Digest(records);
-  metrics_out.Final();
+  const bool metrics_ok = metrics_out.Final();
   if (flags.Has("report")) {
     std::fputs(core::RenderReport(result, eng->dict()).c_str(), stdout);
   } else {
@@ -259,7 +262,7 @@ int CmdDigest(Flags& flags) {
       !WriteTextFile(flags.Get("csv"), core::ToCsv(result))) {
     return 1;
   }
-  return 0;
+  return metrics_ok ? 0 : 1;
 }
 
 // Streaming mode over an archive file: events print the moment they
@@ -301,13 +304,13 @@ int CmdStream(Flags& flags) {
     metrics_out.Periodic();
   }
   eng->Finish();
-  metrics_out.Final();
+  const bool metrics_ok = metrics_out.Final();
   if (flags.Has("stats")) {
     std::fputs(metrics.Collect().RenderPrometheus().c_str(), stderr);
   }
   std::fprintf(stderr, "%zu records -> %zu events\n", records.size(),
                eng->event_count());
-  return 0;
+  return metrics_ok ? 0 : 1;
 }
 
 // Live collector mode: listen for RFC 3164 datagrams on UDP and print
@@ -425,7 +428,7 @@ int CmdServe(Flags& flags) {
   }
   serve.on_tick = [&metrics_out] { metrics_out.Periodic(); };
   host.Serve(serve);
-  metrics_out.Final();
+  const bool metrics_ok = metrics_out.Final();
   for (std::size_t i = 0; i < host.tenant_count(); ++i) {
     const syslog::Collector& c = host.engine(i)->collector();
     if (multi) {
@@ -439,7 +442,7 @@ int CmdServe(Flags& flags) {
                    c.malformed_count());
     }
   }
-  return 0;
+  return metrics_ok ? 0 : 1;
 }
 
 // Replays an archive as RFC 3164 datagrams to a UDP collector ("router
