@@ -6,8 +6,8 @@
 // Three measurements:
 //
 //   1. Sender throughput.  The slgen path (N threads, sendmmsg batches
-//      from a reused payload slab, one flow per thread into a REUSEPORT
-//      listener group) against the seed's sender: `sldigest replay`,
+//      from a reused payload slab, one flow per thread into one
+//      socket) against the seed's sender: `sldigest replay`,
 //      whose loop is one send() per datagram paced by usleep(--pace-us,
 //      default 50) because an unpaced single socket just overflows the
 //      receiver (UDP has no flow control).  slgen replaces open-loop
@@ -165,30 +165,20 @@ int main(int argc, char** argv) {
   stream_options.epoch = sim::DatasetEpoch();
 
   // --- 1. Sender throughput: slgen vs the seed replay sender. ---
-  // The destination is a REUSEPORT listener group (the `serve
-  // --listeners K` shape — the kernel hashes each sender flow to its
-  // own socket), bound but never drained: loopback UDP sends succeed
-  // (the kernel drops on delivery once a buffer fills), so the
-  // measurement is pure sender-side cost either way.
+  // The destination is one socket (the `serve` shape), bound but never
+  // drained: loopback UDP sends succeed (the kernel drops on delivery
+  // once its buffer fills), so the measurement is pure sender-side
+  // cost.
   std::vector<double> legacy_reps;
   std::vector<double> unpaced_reps;
   std::vector<double> slgen_reps;
   {
-    syslog::UdpReceiver::BindOptions sink_options;
-    sink_options.reuse_port = true;
-    std::vector<syslog::UdpReceiver> sinks;
-    auto first = syslog::UdpReceiver::Bind(0, sink_options);
-    if (!first) {
+    auto sink = syslog::UdpReceiver::Bind(0);
+    if (!sink) {
       std::fprintf(stderr, "FAIL: sink bind\n");
       return 1;
     }
-    const std::uint16_t port = first->port();
-    sinks.push_back(std::move(*first));
-    for (int i = 1; i < threads; ++i) {
-      if (auto next = syslog::UdpReceiver::Bind(port, sink_options)) {
-        sinks.push_back(std::move(*next));
-      }
-    }
+    const std::uint16_t port = sink->port();
     LegacyRep(port, total / 8, 0, stream_options);  // warm-up
     // The paced comparator is sleep-bound (~1e6/pace_us msgs/s), so a
     // small slice of the workload gives the same rate without stalling

@@ -9,7 +9,7 @@
 // the real ConcurrentTemplateMatcher the pipeline shards run.
 //
 //   bench_match                       # defaults: 14 learn days, ~3 passes
-//   bench_match --learn-days 2 --passes 1   # CI smoke
+//   bench_match --learn-days 2 --passes 50  # CI smoke
 //   bench_match --json=FILE           # output path (default
 //                                     # BENCH_match.json)
 #include <chrono>

@@ -154,7 +154,6 @@ int main(int argc, char** argv) {
   std::size_t burst = 256;
   std::size_t target = 16384;
   std::size_t parity_frames = 2048;
-  int listeners = 1;
   std::string json = "BENCH_wire.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
@@ -163,8 +162,6 @@ int main(int argc, char** argv) {
       burst = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--target") == 0 && i + 1 < argc) {
       target = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--listeners") == 0 && i + 1 < argc) {
-      listeners = std::atoi(argv[++i]);
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json = argv[i] + 7;
     } else {
@@ -175,7 +172,6 @@ int main(int argc, char** argv) {
   if (reps < 1) reps = 1;
   if (burst < 16) burst = 16;
   if (target < burst) target = burst;
-  if (listeners < 1) listeners = 1;
 
   bench::Header("wire", "UDP wire front: batched drain vs per-datagram poll",
                 "batched recvmmsg drains loopback bursts >= 2x faster than the seed loop, with 0 "
@@ -223,7 +219,6 @@ int main(int argc, char** argv) {
   double allocs_per_datagram = 0;
   {
     wirefront::WireOptions options;
-    options.listeners = listeners;
     options.rcvbuf_bytes = 8 * 1024 * 1024;
     std::string error;
     auto front =
@@ -314,7 +309,6 @@ int main(int argc, char** argv) {
       << "  \"cpus\": " << std::thread::hardware_concurrency() << ",\n"
       << "  \"burst\": " << burst << ",\n"
       << "  \"target\": " << target << ",\n"
-      << "  \"listeners\": " << listeners << ",\n"
       << "  \"reps\": " << reps << ",\n"
       << "  \"identical\": " << (identical ? "true" : "false") << ",\n"
       << "  \"legacy_dgrams_per_sec\": " << Median(legacy_reps) << ",\n"

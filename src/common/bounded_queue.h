@@ -1,10 +1,10 @@
 // A bounded blocking queue for pipeline stages (producer/consumer).
 //
-// The deployment shape of the online system is a receiver thread feeding
-// a digester thread; this queue is the seam between them.  Push blocks
-// when full (back-pressure toward the socket), Pop blocks when empty.
-// Close() releases both sides: pushes fail, pops drain the remaining
-// items and then return nullopt.
+// ShardedPipeline's threads hand batches over through these: the pumping
+// thread to each shard worker, and the workers to the merge thread.
+// Push blocks when full (back-pressure toward the pump), Pop blocks when
+// empty.  Close() releases both sides: pushes fail, pops drain the
+// remaining items and then return nullopt.
 #pragma once
 
 #include <condition_variable>
@@ -34,17 +34,6 @@ class BoundedQueue {
     return true;
   }
 
-  // Non-blocking push; false when full or closed.
-  bool TryPush(T item) {
-    {
-      std::lock_guard lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   // Blocks until an item is available; nullopt once closed AND drained.
   std::optional<T> Pop() {
     std::unique_lock lock(mutex_);
@@ -55,30 +44,6 @@ class BoundedQueue {
     lock.unlock();
     not_full_.notify_one();
     return item;
-  }
-
-  // Non-blocking pop; nullopt when currently empty (closed or not).
-  std::optional<T> TryPop() {
-    std::unique_lock lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
-  // Blocks until at least one item is available, then drains everything
-  // queued in one lock acquisition (amortizes contention for consumers
-  // that can work in batches).  Empty result once closed AND drained.
-  std::deque<T> PopAll() {
-    std::unique_lock lock(mutex_);
-    not_empty_.wait(lock, [this] { return !items_.empty() || closed_; });
-    std::deque<T> out;
-    out.swap(items_);
-    lock.unlock();
-    not_full_.notify_all();
-    return out;
   }
 
   // Marks the stream finished; wakes all waiters.
@@ -94,13 +59,6 @@ class BoundedQueue {
   std::size_t size() const {
     std::lock_guard lock(mutex_);
     return items_.size();
-  }
-
-  std::size_t capacity() const noexcept { return capacity_; }
-
-  bool closed() const {
-    std::lock_guard lock(mutex_);
-    return closed_;
   }
 
  private:

@@ -33,11 +33,6 @@ class Rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  // Exponentially distributed value with the given mean (> 0).
-  double ExponentialMean(double mean) {
-    return std::exponential_distribution<double>(1.0 / mean)(engine_);
-  }
-
   // Poisson-distributed count with the given mean (>= 0).
   std::int64_t Poisson(double mean) {
     if (mean <= 0.0) return 0;

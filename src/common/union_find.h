@@ -63,8 +63,6 @@ class UnionFind {
   // Size of the set containing x.
   std::size_t SetSize(std::size_t x) noexcept { return size_[Find(x)]; }
 
-  std::size_t element_count() const noexcept { return parent_.size(); }
-
   // Raw forest state, for checkpointing.  `Rebuild` restores a forest
   // previously captured via parents()/sizes(); the vectors must be the
   // same length.

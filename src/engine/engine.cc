@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -199,8 +200,8 @@ bool Engine::IngestRecord(const syslog::SyslogRecord& rec) {
 }
 
 // At most one tag per distinct stream second is kept (records within a
-// second share the newest earlier tag), and the deque is capped so a
-// long stream with a stalled consumer stays bounded.
+// second share the newest earlier tag), and the deque keeps only the
+// newest kMaxLatencyTags so a long stream stays bounded.
 namespace {
 constexpr std::size_t kMaxLatencyTags = 4096;
 }  // namespace
@@ -210,7 +211,7 @@ void Engine::NoteIngestTag(TimeMs t) {
   const auto now = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(tag_mutex_);
   if (!latency_tags_.empty() && t <= latency_tags_.back().t) return;
-  if (latency_tags_.size() >= kMaxLatencyTags) return;
+  if (latency_tags_.size() == kMaxLatencyTags) latency_tags_.pop_front();
   latency_tags_.push_back({t, now});
 }
 
@@ -220,19 +221,19 @@ void Engine::ObserveEventLatency(const core::DigestEvent& ev) {
   std::chrono::steady_clock::time_point at;
   {
     std::lock_guard<std::mutex> lock(tag_mutex_);
-    if (latency_tags_.empty() || latency_tags_.front().t > ev.end) {
+    // Newest tag with t <= ev.end: the last ingest instant that could
+    // have contributed to this event.  Lookups retire nothing: a sweep
+    // hands events over in start order, so a later event may end
+    // earlier than this one.
+    const auto after = std::upper_bound(
+        latency_tags_.begin(), latency_tags_.end(), ev.end,
+        [](TimeMs end, const LatencyTag& tag) { return end < tag.t; });
+    if (after == latency_tags_.begin()) {
       // No tag at or before the event's close time (e.g. the stream was
       // restored from a checkpoint, so its records were never tagged).
       return;
     }
-    // Newest tag with t <= ev.end: the last ingest instant that could
-    // have contributed to this event.  Older tags are retired — events
-    // close in non-decreasing order per tenant, so they cannot be the
-    // answer for a later event either.
-    while (latency_tags_.size() > 1 && latency_tags_[1].t <= ev.end) {
-      latency_tags_.pop_front();
-    }
-    at = latency_tags_.front().at;
+    at = std::prev(after)->at;
   }
   const double seconds = std::chrono::duration<double>(now - at).count();
   e2e_latency_->Observe(seconds >= 0 ? seconds : 0.0);

@@ -167,7 +167,6 @@ class Engine {
   core::DigestResult Digest(std::span<const syslog::SyslogRecord> records);
 
   const std::string& tenant() const noexcept { return options_.tenant; }
-  std::size_t shard_count() const noexcept { return options_.shards; }
   // Cumulative events delivered through the live path (exact once
   // Finish() returns; a lower bound mid-stream when shards > 1, where
   // the merge thread emits concurrently).
@@ -229,11 +228,11 @@ class Engine {
   // with t <= ev.end tells us when the last record that could have
   // contributed to the event entered the process, and "now - then" is
   // the end-to-end pipeline latency (collector hold + digest + delivery).
-  // Bounded so a stalled consumer cannot grow it: once full, new stream
-  // seconds overwrite nothing — they are simply not tagged, which only
-  // loses resolution, never correctness.  Guarded by tag_mutex_ because
-  // ingest runs on listener threads while DeliverBatch runs on the merge
-  // thread at shards > 1.
+  // Lookups leave the tags in place; the deque is bounded instead by
+  // dropping its oldest tag once it is full, so only an event that ended
+  // before every kept tag goes unobserved.  Guarded by tag_mutex_
+  // because ingest runs on the serve thread while DeliverBatch runs on
+  // the merge thread at shards > 1.
   struct LatencyTag {
     TimeMs t;
     std::chrono::steady_clock::time_point at;

@@ -114,13 +114,6 @@ Engine* EngineHost::AddEngine(std::unique_ptr<Engine> engine,
   return engines_.back().get();
 }
 
-Engine* EngineHost::Find(const std::string& tenant) noexcept {
-  for (auto& engine : engines_) {
-    if (engine->tenant() == tenant) return engine.get();
-  }
-  return nullptr;
-}
-
 void EngineHost::PumpAll() {
   // Each index is one engine; an engine's pump is strictly serial, and
   // the ParallelFor barrier is the only cross-thread synchronization the
@@ -144,8 +137,8 @@ bool EngineHost::BindAll(const wirefront::WireOptions& wire,
   std::vector<wirefront::TenantPort> tenants(engines_.size());
   for (std::size_t i = 0; i < engines_.size(); ++i) {
     tenants[i].port = ports_[i];
-    // Per-listener cells land in the tenant's scoped view, so every
-    // wire_* series carries the {tenant} label alongside {listener}.
+    // The socket's cells land in the tenant's scoped view, so every
+    // wire_* series carries the {tenant} label.
     tenants[i].metrics = engines_[i]->metrics();
   }
   front_ = wirefront::WireFront::Open(wire, tenants, error);

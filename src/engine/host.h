@@ -1,17 +1,16 @@
 // EngineHost: multiplexes N per-tenant Engines over shared resources.
 //
 // Shared between tenants:
-//   - one sld::ThreadPool, used to load tenants concurrently and to pump
-//     every tenant's collector in parallel (each engine's own work stays
-//     strictly serial — the pool's fork/join barrier is the only
-//     synchronization the engines need, so per-tenant output is
-//     bit-identical to a dedicated process);
+//   - one sld::ThreadPool, which loads, pumps, checkpoints and finishes
+//     the tenants in parallel (each engine's own work stays strictly
+//     serial — the pool's fork/join barrier is the only synchronization
+//     the engines need, so per-tenant output is bit-identical to a
+//     dedicated process);
 //   - one obs::Registry, every engine registering through a
 //     {"tenant", NAME} scoped view so all series stay distinguishable;
-//   - the wire front: one UDP port per tenant fanned out over
-//     `--listeners` SO_REUSEPORT sockets, drained in recvmmsg batches
-//     (see src/wirefront/) and routed to the owning engine.  All of a tenant's listeners feed one collector,
-//     whose single release watermark merges them.
+//   - the wire front: one UDP socket per tenant, all drained in recvmmsg
+//     batches on the serve thread (see src/wirefront/), each datagram
+//     routed to the engine that owns its socket.
 //
 // Everything else — knowledge base, collector, pipeline, group state,
 // event sink — is private to each Engine.  A tenant flooding its own
@@ -69,13 +68,11 @@ class EngineHost {
   // with the first (in spec order) and returns false.
   bool LoadTenants(std::vector<TenantSpec> specs, std::string* error);
 
-  // Adopts an already-built engine (tests and embedders).  The engine's
-  // declared tenant name is used for Find().
+  // Adopts an already-built engine (tests and embedders).
   Engine* AddEngine(std::unique_ptr<Engine> engine, std::uint16_t port = 0);
 
   std::size_t tenant_count() const noexcept { return engines_.size(); }
   Engine* engine(std::size_t i) noexcept { return engines_[i].get(); }
-  Engine* Find(const std::string& tenant) noexcept;
 
   obs::Registry* metrics() noexcept { return options_.metrics; }
 
@@ -89,11 +86,10 @@ class EngineHost {
   void FinishAll(std::vector<std::vector<core::DigestEvent>>* leftovers =
                      nullptr);
 
-  // Opens the wire front: `wire.listeners` SO_REUSEPORT sockets per
-  // tenant at each spec's port (0 = ephemeral; read back with port_of),
-  // with per-listener metrics scoped to each tenant's registry view.
-  // Returns false and fills `error` on the first port that cannot be
-  // bound.
+  // Opens the wire front: one socket per tenant at each spec's port
+  // (0 = ephemeral; read back with port_of), with its wire_* metrics in
+  // that tenant's registry view.  Returns false and fills `error` on the
+  // first port that cannot be bound.
   bool BindAll(const wirefront::WireOptions& wire, std::string* error);
   bool BindAll(std::string* error) {
     return BindAll(wirefront::WireOptions{}, error);

@@ -138,8 +138,6 @@ struct Topology {
   LogicalIfId PrimaryLogical(PhysIfId phys) const;
   // Finds a router by name; returns nullptr when absent.
   const Router* FindRouter(std::string_view name) const;
-  // Total number of configured layer-3 addresses.
-  std::size_t AddressCount() const noexcept { return logical_ifs.size(); }
 };
 
 // Generation parameters. Defaults produce a mid-size network; the dataset

@@ -106,8 +106,6 @@ class ShardedPipeline {
   // Idempotent.
   core::DigestResult Finish();
 
-  std::size_t shard_count() const noexcept { return shards_.size(); }
-
   // Blocks the calling (ingest) thread until every record pushed so far
   // has been merged; a no-op inline and after Finish.  Threaded, the
   // queue mutexes plus the quiesce mutex establish the happens-before

@@ -21,7 +21,8 @@
 // the edges the single-threaded digester would.  CrossRouterStage compares
 // messages across routers and therefore runs on the one sequenced merge
 // thread.  Stages keep their own bounded copies of the window fields they
-// need, so they never dangle into an arena that compacts underneath them.
+// need, so they never point into the tracker's arena, whose slots are
+// reused once their group closes.
 #pragma once
 
 #include <cstdint>

@@ -70,13 +70,6 @@ std::optional<UdpReceiver> UdpReceiver::Bind(std::uint16_t port,
                                              const BindOptions& options) {
   const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd < 0) return std::nullopt;
-  if (options.reuse_port) {
-    const int one = 1;
-    if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-      ::close(fd);
-      return std::nullopt;
-    }
-  }
   if (options.track_overflow) {
     const int one = 1;
     // Best-effort: a kernel without SO_RXQ_OVFL simply reports no drops.

@@ -6,8 +6,8 @@
 // reorders, and feeds the digest pipeline.  These wrappers are
 // deliberately minimal — blocking receive with a timeout, no threads —
 // so callers own their event loop.  The batched wire front
-// (src/wirefront/) builds its listener sockets on UdpReceiver::Bind and
-// drains them with recvmmsg instead of Receive().
+// (src/wirefront/) binds each tenant's socket with UdpReceiver::Bind and
+// drains it with recvmmsg instead of Receive().
 #pragma once
 
 #include <cstdint>
@@ -51,10 +51,6 @@ class UdpReceiver {
     // granted, so an under-provisioned net.core.rmem_max is visible
     // instead of silently dropping bursts.
     int rcvbuf_bytes = 4 * 1024 * 1024;
-    // SO_REUSEPORT: several sockets may bind the same port and the
-    // kernel hashes datagrams across them by flow (the wire front's
-    // --listeners fan-out).  Every socket sharing the port must set it.
-    bool reuse_port = false;
     // SO_RXQ_OVFL: attach the kernel's cumulative receive-queue drop
     // counter to each datagram as ancillary data, so overflow loss is
     // accounted instead of invisible.

@@ -18,13 +18,9 @@ constexpr std::size_t kCmsgSpace = CMSG_SPACE(sizeof(std::uint32_t));
 
 }  // namespace
 
-// One bound socket plus its accounting; listeners_[t * K + i] is tenant
-// t's i-th listener.
+// One tenant's bound socket plus its accounting.
 struct WireFront::Listener {
   syslog::UdpReceiver sock;
-  std::size_t tenant = 0;
-  std::uint64_t datagrams = 0;
-  std::uint64_t drops = 0;
   // SO_RXQ_OVFL is a cumulative per-socket counter; deltas are taken
   // against the last value seen.
   std::uint32_t last_ovfl = 0;
@@ -51,11 +47,8 @@ std::unique_ptr<WireFront> WireFront::Open(
     return nullptr;
   };
   if (tenants.empty()) return fail("wirefront: no tenants");
-  if (options.listeners < 1 || options.listeners > 64) {
-    return fail("wirefront: listeners must be in [1, 64]");
-  }
-  // Duplicate explicit ports would make two tenants share one flow hash
-  // group; reject instead of silently interleaving streams.
+  // Two tenants cannot share a port; name the clash instead of
+  // reporting the second bind's failure.
   for (std::size_t a = 0; a < tenants.size(); ++a) {
     for (std::size_t b = a + 1; b < tenants.size(); ++b) {
       if (tenants[a].port != 0 && tenants[a].port == tenants[b].port) {
@@ -66,47 +59,26 @@ std::unique_ptr<WireFront> WireFront::Open(
   }
 
   auto front = std::unique_ptr<WireFront>(new WireFront());
-  front->tenants_ = tenants.size();
-  front->listeners_per_tenant_ = options.listeners;
-
-  const int k = options.listeners;
-  front->listeners_.reserve(tenants.size() * static_cast<std::size_t>(k));
+  syslog::UdpReceiver::BindOptions bind;
+  bind.rcvbuf_bytes = options.rcvbuf_bytes;
+  bind.track_overflow = true;
+  front->listeners_.reserve(tenants.size());
   for (std::size_t t = 0; t < tenants.size(); ++t) {
-    syslog::UdpReceiver::BindOptions bind;
-    bind.rcvbuf_bytes = options.rcvbuf_bytes;
-    bind.reuse_port = k > 1;
-    bind.track_overflow = true;
-    // Listener 0 resolves the port (possibly ephemeral); the rest of the
-    // fan-out binds the resolved port with SO_REUSEPORT.
-    std::uint16_t port = tenants[t].port;
-    for (int i = 0; i < k; ++i) {
-      auto sock = syslog::UdpReceiver::Bind(port, bind);
-      if (!sock.has_value()) {
-        return fail("wirefront: bind failed for tenant " + std::to_string(t) +
-                    " listener " + std::to_string(i) + " port " +
-                    std::to_string(port));
-      }
-      port = sock->port();
-      Listener& ln = front->listeners_.emplace_back(std::move(*sock));
-      ln.tenant = t;
-      if (obs::Registry* reg = tenants[t].metrics) {
-        const obs::Labels labels{{"listener", std::to_string(i)}};
-        ln.datagram_cell = reg->AddCounter(
-            "wire_datagrams_total", "Datagrams delivered by the wire front",
-            labels);
-        ln.drop_cell = reg->AddCounter(
-            "wire_kernel_drops_total",
-            "Datagrams dropped by the kernel receive queue (SO_RXQ_OVFL)",
-            labels);
-        reg->AddGauge("wire_rcvbuf_bytes",
-                      "Kernel receive buffer actually granted per listener",
-                      labels)
-            ->Set(ln.sock.rcvbuf_bytes());
-      }
+    auto sock = syslog::UdpReceiver::Bind(tenants[t].port, bind);
+    if (!sock.has_value()) {
+      return fail("wirefront: bind failed for tenant " + std::to_string(t) +
+                  " port " + std::to_string(tenants[t].port));
     }
+    Listener& ln = front->listeners_.emplace_back(std::move(*sock));
     if (obs::Registry* reg = tenants[t].metrics) {
-      reg->AddGauge("wire_listeners", "SO_REUSEPORT listeners for this tenant")
-          ->Set(k);
+      ln.datagram_cell = reg->AddCounter(
+          "wire_datagrams_total", "Datagrams delivered by the wire front");
+      ln.drop_cell = reg->AddCounter(
+          "wire_kernel_drops_total",
+          "Datagrams dropped by the kernel receive queue (SO_RXQ_OVFL)");
+      reg->AddGauge("wire_rcvbuf_bytes",
+                    "Kernel receive buffer actually granted to the socket")
+          ->Set(ln.sock.rcvbuf_bytes());
     }
   }
 
@@ -123,17 +95,7 @@ std::unique_ptr<WireFront> WireFront::Open(
 }
 
 std::uint16_t WireFront::port_of(std::size_t tenant) const noexcept {
-  const std::size_t flat =
-      tenant * static_cast<std::size_t>(listeners_per_tenant_);
-  return flat < listeners_.size() ? listeners_[flat].sock.port() : 0;
-}
-
-std::size_t WireFront::listener_count() const noexcept {
-  return listeners_.size();
-}
-
-std::uint64_t WireFront::listener_datagrams(std::size_t flat) const noexcept {
-  return flat < listeners_.size() ? listeners_[flat].datagrams : 0;
+  return tenant < listeners_.size() ? listeners_[tenant].sock.port() : 0;
 }
 
 void WireFront::Account(Listener& listener, std::uint64_t new_drops) {
@@ -142,13 +104,13 @@ void WireFront::Account(Listener& listener, std::uint64_t new_drops) {
   if (new_drops <= listener.last_ovfl) return;
   const std::uint64_t delta = new_drops - listener.last_ovfl;
   listener.last_ovfl = static_cast<std::uint32_t>(new_drops);
-  listener.drops += delta;
   total_drops_ += delta;
   if (listener.drop_cell != nullptr) listener.drop_cell->Inc(delta);
 }
 
-std::size_t WireFront::DrainListener(Listener& listener, std::size_t cap,
+std::size_t WireFront::DrainListener(std::size_t tenant, std::size_t cap,
                                      const Sink& sink) {
+  Listener& listener = listeners_[tenant];
   Scratch& s = *scratch_;
   std::size_t total = 0;
   for (;;) {
@@ -185,10 +147,9 @@ std::size_t WireFront::DrainListener(Listener& listener, std::size_t cap,
           Account(listener, dropped);
         }
       }
-      ++listener.datagrams;
       ++total_datagrams_;
       if (listener.datagram_cell != nullptr) listener.datagram_cell->Inc();
-      sink(listener.tenant,
+      sink(tenant,
            std::string_view(payload_slab_.data() + i * kMaxDatagram,
                             s.msgs[i].msg_len));
     }
@@ -210,8 +171,7 @@ std::ptrdiff_t WireFront::PollOnce(int timeout_ms, std::size_t max,
   for (std::size_t i = 0; i < listeners_.size(); ++i) {
     if (max != 0 && delivered >= max) break;
     if ((s.pollfds[i].revents & POLLIN) == 0) continue;
-    delivered += DrainListener(listeners_[i],
-                               max == 0 ? 0 : max - delivered, sink);
+    delivered += DrainListener(i, max == 0 ? 0 : max - delivered, sink);
   }
   return static_cast<std::ptrdiff_t>(delivered);
 }

@@ -19,14 +19,6 @@ TEST(BoundedQueueTest, FifoOrder) {
   }
 }
 
-TEST(BoundedQueueTest, TryPushRespectsCapacity) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));
-  EXPECT_EQ(q.size(), 2u);
-}
-
 TEST(BoundedQueueTest, CloseDrainsThenSignalsEnd) {
   BoundedQueue<int> q(10);
   q.Push(1);
@@ -36,7 +28,6 @@ TEST(BoundedQueueTest, CloseDrainsThenSignalsEnd) {
   EXPECT_EQ(q.Pop().value(), 1);
   EXPECT_EQ(q.Pop().value(), 2);
   EXPECT_FALSE(q.Pop().has_value());
-  EXPECT_TRUE(q.closed());
 }
 
 TEST(BoundedQueueTest, PushBlocksUntilSpaceFrees) {
@@ -75,61 +66,6 @@ TEST(BoundedQueueTest, CloseWakesBlockedConsumer) {
   EXPECT_FALSE(got.has_value());
 }
 
-TEST(BoundedQueueTest, TryPopReturnsNulloptWhenEmpty) {
-  BoundedQueue<int> q(4);
-  EXPECT_FALSE(q.TryPop().has_value());
-  q.Push(7);
-  EXPECT_EQ(q.TryPop().value(), 7);
-  EXPECT_FALSE(q.TryPop().has_value());
-}
-
-TEST(BoundedQueueTest, TryPopStillDrainsAfterClose) {
-  BoundedQueue<int> q(4);
-  q.Push(1);
-  q.Close();
-  EXPECT_EQ(q.TryPop().value(), 1);
-  EXPECT_FALSE(q.TryPop().has_value());
-}
-
-TEST(BoundedQueueTest, PopAllDrainsEverythingQueued) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) q.Push(i);
-  const std::deque<int> got = q.PopAll();
-  ASSERT_EQ(got.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(BoundedQueueTest, PopAllReturnsEmptyOnceClosedAndDrained) {
-  BoundedQueue<int> q(4);
-  q.Push(3);
-  q.Close();
-  EXPECT_EQ(q.PopAll().size(), 1u);
-  EXPECT_TRUE(q.PopAll().empty());
-}
-
-TEST(BoundedQueueTest, PopAllFreesBlockedProducers) {
-  BoundedQueue<int> q(2);
-  q.Push(1);
-  q.Push(2);
-  std::atomic<int> pushed{0};
-  std::thread a([&] {
-    q.Push(3);
-    ++pushed;
-  });
-  std::thread b([&] {
-    q.Push(4);
-    ++pushed;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(pushed.load(), 0);
-  EXPECT_EQ(q.PopAll().size(), 2u);  // notify_all releases both producers
-  a.join();
-  b.join();
-  EXPECT_EQ(pushed.load(), 2);
-  EXPECT_EQ(q.size(), 2u);
-}
-
 TEST(BoundedQueueTest, CloseReleasesBlockedProducer) {
   BoundedQueue<int> q(1);
   ASSERT_TRUE(q.Push(1));
@@ -146,11 +82,6 @@ TEST(BoundedQueueTest, CloseReleasesBlockedProducer) {
   EXPECT_FALSE(push_result);  // rejected, not silently enqueued
   EXPECT_EQ(q.Pop().value(), 1);
   EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(BoundedQueueTest, CapacityIsExposed) {
-  BoundedQueue<int> q(3);
-  EXPECT_EQ(q.capacity(), 3u);
 }
 
 TEST(BoundedQueueTest, ManyProducersOneConsumer) {

@@ -10,7 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -182,6 +186,51 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::size_t, std::size_t>{4, 1},
                       std::pair<std::size_t, std::size_t>{2, 4},
                       std::pair<std::size_t, std::size_t>{4, 4}));
+
+class LatencyTest : public ::testing::TestWithParam<std::size_t> {};
+
+// Every delivered event gets one e2e_latency_seconds observation.  A
+// finite idle horizon makes the tracker close groups while the stream
+// runs, and a sweep hands its events over in start order, so an event
+// can end before one that was delivered earlier.  The engine runs in
+// serve's shape: durable, with a checkpoint every 1,000 records.  Each
+// checkpoint quiesces the pipeline, so at shards > 1 the merge thread
+// stays within 1,000 records of ingest, inside the newest 4,096 stream
+// seconds the latency tags cover.
+TEST_P(LatencyTest, EveryDeliveredEventIsObserved) {
+  Tenant& t = SharedTenant(0);
+  core::KnowledgeBase kb = CloneKb(t.kb);
+  obs::Registry metrics;
+  EngineOptions opts;
+  opts.shards = GetParam();
+  opts.idle_close_ms = 10 * kMsPerMinute;
+  opts.metrics = &metrics;
+  Engine eng(&kb, &t.dict, opts);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("sld_latency_" + std::to_string(::getpid()) + "_" +
+       std::to_string(GetParam()));
+  std::string error;
+  ASSERT_TRUE(eng.OpenDurable(dir.string(), &error)) << error;
+  std::vector<TimeMs> ends;
+  eng.SetEventSink(
+      [&ends](const core::DigestEvent& ev) { ends.push_back(ev.end); });
+  for (std::size_t i = 0; i < t.live.messages.size(); ++i) {
+    eng.IngestRecord(t.live.messages[i]);
+    eng.Pump();
+    if (i % 1000 == 999) {
+      ASSERT_TRUE(eng.Checkpoint(&error)) << error;
+    }
+  }
+  eng.Finish();
+  std::filesystem::remove_all(dir);
+  ASSERT_GT(ends.size(), 0u);
+  EXPECT_FALSE(std::is_sorted(ends.begin(), ends.end()))
+      << "the stream no longer closes events out of end order";
+  EXPECT_EQ(eng.e2e_latency_samples(), ends.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, LatencyTest, ::testing::Values(1u, 4u));
 
 // A tenant flooding its own port with garbage must not perturb a healthy
 // neighbor: the victim's events stay bit-identical to a standalone run

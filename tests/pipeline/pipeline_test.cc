@@ -150,12 +150,13 @@ TEST(GroupTrackerTest, MaxGroupAgeForceClosesLongRunners) {
 
 TEST(GroupTrackerTest, CompactionPreservesOpenGroups) {
   Ctx& ctx = Shared();
-  // Enough traffic to trip the arena compaction threshold (>4096 slots
-  // with >3/4 of them closed) while a recent group stays open.  Sweeps
-  // fire only on a >=30s observation gap, so space the messages past it.
+  // Thousands of groups close and free their arena slots, which later
+  // messages reuse, while a recent group stays open.  A sweep fires when
+  // the stream clock enters a new 30 s bucket, so the messages are
+  // spaced 31 s apart.
   const std::size_t n =
       std::min<std::size_t>(ctx.live.messages.size(), 6000);
-  ASSERT_GT(n, 4200u);  // otherwise compaction never trips
+  ASSERT_GT(n, 4200u);  // slots are reused thousands of times
   auto msgs = Messages(ctx, n, 31 * kMsPerSecond);
   msgs[n - 1].time = msgs[n - 2].time + 1000;  // final pair stays coeval
   GroupTracker tracker(&ctx.kb, &ctx.dict, /*idle_close_ms=*/5000,
@@ -174,7 +175,7 @@ TEST(GroupTrackerTest, CompactionPreservesOpenGroups) {
   const auto events = tracker.Flush();
   std::size_t flushed = 0;
   for (const auto& ev : events) flushed += ev.messages.size();
-  // No message lost or duplicated across sweeps and compactions.
+  // No message lost or duplicated across sweeps and slot reuse.
   EXPECT_EQ(closed_messages + flushed, n);
   ASSERT_FALSE(events.empty());
   const auto merged = std::find_if(

@@ -83,18 +83,6 @@ TEST(UdpTest, BindReadsBackReceiveBuffer) {
   EXPECT_GE(receiver->rcvbuf_bytes(), 128 * 1024);
 }
 
-TEST(UdpTest, ReusePortBindsTwice) {
-  // Two sockets may share one port only when both opt in.
-  UdpReceiver::BindOptions reuse;
-  reuse.reuse_port = true;
-  auto first = UdpReceiver::Bind(0, reuse);
-  ASSERT_TRUE(first.has_value());
-  auto second = UdpReceiver::Bind(first->port(), reuse);
-  EXPECT_TRUE(second.has_value());
-  // Without the flag the port is taken.
-  EXPECT_FALSE(UdpReceiver::Bind(first->port()).has_value());
-}
-
 TEST(UdpTest, ReceiveTimesOutWhenQuiet) {
   auto receiver = UdpReceiver::Bind(0);
   ASSERT_TRUE(receiver.has_value());

@@ -68,7 +68,7 @@ for shards in 1 4 16; do
     --tenant "t2:$d/cfg2:$d/kb2.txt:0" \
     --tenant "t3:$d/cfg3:$d/kb3.txt:0" \
     --shards "$shards" --max-datagrams "$total" --idle-exit-s 15 \
-    --listeners 2 --metrics-out "$d/m$shards.json" \
+    --metrics-out "$d/m$shards.json" \
     > "$d/multi$shards.txt" 2> "$d/multi$shards.err" &
   pid=$!
   ports=$(wait_ports "$d/multi$shards.err" 3)

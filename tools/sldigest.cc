@@ -21,7 +21,7 @@
 //       several networks at once: per-tenant engines over a shared pool
 //       (see src/engine/).
 //
-//   sldigest inspect --kb kb.txt [--configs DIR]
+//   sldigest inspect --kb kb.txt
 //       Dumps the learned domain knowledge in human-readable form.
 //
 //   sldigest events  --checkpoint-dir DIR
@@ -57,7 +57,6 @@
 #include "syslog/collector.h"
 #include "syslog/ingest.h"
 #include "syslog/udp.h"
-#include "wirefront/wirefront.h"
 
 namespace {
 
@@ -70,10 +69,10 @@ using tools::Flags;
 constexpr std::string_view kKnownFlags[] = {
     "checkpoint-dir", "checkpoint-interval-s", "configs", "csv",
     "dataset", "day0", "days", "dedup", "history", "hold-ms", "host",
-    "idle-close-s", "idle-exit-s", "in", "kb", "listeners",
-    "max-datagrams", "metrics-interval-s", "metrics-out", "out",
-    "pace-us", "port", "pump-threads", "report", "seed", "shards",
-    "stats", "sweep", "tenant", "top", "window-s", "year",
+    "idle-close-s", "idle-exit-s", "in", "kb", "max-datagrams",
+    "metrics-interval-s", "metrics-out", "out", "pace-us", "port",
+    "report", "seed", "shards", "sweep", "tenant", "top", "window-s",
+    "year",
 };
 
 // Shared --metrics-out handling: when the flag is set, snapshots of `reg`
@@ -278,13 +277,12 @@ int CmdStream(Flags& flags) {
   if (!flags.ok()) return 2;
   obs::Registry metrics;
   MetricsWriter metrics_out(flags, &metrics);
-  const bool want_metrics = metrics_out.enabled() || flags.Has("stats");
   engine::EngineOptions opts;
   opts.shards =
       static_cast<std::size_t>(std::max(1L, flags.GetInt("shards", 1)));
   opts.hold_ms = flags.GetInt("hold-ms", 5000);
   opts.idle_close_ms = flags.GetInt("idle-close-s", 1800) * kMsPerSecond;
-  opts.metrics = want_metrics ? &metrics : nullptr;
+  opts.metrics = metrics_out.enabled() ? &metrics : nullptr;
   std::string error;
   const auto eng = engine::Engine::Load(configs, kb_path, opts, &error);
   if (eng == nullptr) {
@@ -293,7 +291,7 @@ int CmdStream(Flags& flags) {
   }
   bool ok = true;
   const auto records =
-      ReadRecordsCli(in_path, want_metrics ? &metrics : nullptr, ok);
+      ReadRecordsCli(in_path, metrics_out.enabled() ? &metrics : nullptr, ok);
   if (!ok) return 1;
   eng->SetEventSink([](const core::DigestEvent& ev) {
     std::printf("%s\n", ev.Format().c_str());
@@ -305,9 +303,6 @@ int CmdStream(Flags& flags) {
   }
   eng->Finish();
   const bool metrics_ok = metrics_out.Final();
-  if (flags.Has("stats")) {
-    std::fputs(metrics.Collect().RenderPrometheus().c_str(), stderr);
-  }
   std::fprintf(stderr, "%zu records -> %zu events\n", records.size(),
                eng->event_count());
   return metrics_ok ? 0 : 1;
@@ -358,8 +353,6 @@ int CmdServe(Flags& flags) {
   }
 
   engine::HostOptions host_opts;
-  host_opts.pool_threads =
-      static_cast<int>(flags.GetInt("pump-threads", 0));
   host_opts.metrics = metrics_out.enabled() ? &metrics : nullptr;
   engine::EngineHost host(host_opts);
   std::string error;
@@ -385,18 +378,10 @@ int CmdServe(Flags& flags) {
       }
     }
   }
-  wirefront::WireOptions wire;
-  wire.listeners = static_cast<int>(flags.GetInt("listeners", 1));
-  if (wire.listeners < 1 || wire.listeners > 64) {
-    std::fprintf(stderr, "--listeners must be in [1, 64]\n");
-    return 2;
-  }
-  if (!host.BindAll(wire, &error)) {
+  if (!host.BindAll(&error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  std::fprintf(stderr, "wire front: %d listener(s)/tenant\n",
-               host.front()->listeners_per_tenant());
   // One mutex serializes event lines across tenants; each tenant's own
   // subsequence stays its deterministic close order.  Multi-tenant lines
   // are prefixed "NAME|"; single-tenant output is byte-identical to the
@@ -558,19 +543,15 @@ void Usage() {
       "          [--shards N]\n"
       "  stream  --configs DIR --kb FILE --in FILE [--idle-close-s N] "
       "[--shards N]\n"
-      "          [--hold-ms N] [--stats]\n"
+      "          [--hold-ms N]\n"
       "  serve   --configs DIR --kb FILE [--port N] [--year N]\n"
       "          or repeatable --tenant NAME:CONFIGS:KB[:PORT] to serve "
       "several\n"
       "          networks in one process (events print as \"NAME|event\"; "
       "every\n"
       "          metric series carries a tenant label)\n"
-      "          [--shards N] [--pump-threads N] [--hold-ms N] "
-      "[--idle-close-s N]\n"
+      "          [--shards N] [--hold-ms N] [--idle-close-s N]\n"
       "          [--max-datagrams N] [--idle-exit-s N] [--dedup]\n"
-      "          [--listeners K]\n"
-      "          --listeners K fans each tenant port over K SO_REUSEPORT\n"
-      "          sockets, drained with batched recvmmsg\n"
       "          [--checkpoint-dir DIR] [--checkpoint-interval-s N]\n"
       "          --checkpoint-dir restores state at start and snapshots "
       "every N\n"
