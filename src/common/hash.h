@@ -4,14 +4,26 @@
 // hot path needs.  Fnv1a64 is the simple byte-serial reference (and
 // constexpr); HashBytes is the word-chunked variant the match memo cache
 // uses to key (code, detail) pairs, since hashing the full detail is the
-// single largest cost of a memo hit.
+// single largest cost of a memo hit.  StringHash is the transparent hasher
+// for string-keyed hash maps.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string_view>
 
 namespace sld {
+
+// Transparent string hasher.  A std::unordered_map keyed by std::string
+// (or std::string_view) with StringHash and std::equal_to<> finds a
+// std::string_view without building a key string.
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ull;
 inline constexpr std::uint64_t kFnv1aPrime = 0x100000001b3ull;

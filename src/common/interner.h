@@ -7,10 +7,13 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+
+#include "common/hash.h"
 
 namespace sld {
 
@@ -48,21 +51,9 @@ class StringInterner {
   std::size_t size() const noexcept { return storage_.size(); }
 
  private:
-  struct Hash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  struct Eq {
-    using is_transparent = void;
-    bool operator()(std::string_view a, std::string_view b) const noexcept {
-      return a == b;
-    }
-  };
-
   std::deque<std::string> storage_;
-  std::unordered_map<std::string_view, Id, Hash, Eq> index_;
+  std::unordered_map<std::string_view, Id, StringHash, std::equal_to<>>
+      index_;
 };
 
 }  // namespace sld

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/interner.h"
-#include "core/location/extractor.h"
+#include "core/location/location.h"
 #include "core/templates/template.h"
 #include "syslog/record.h"
 
@@ -87,22 +87,20 @@ class RouterResolver {
   std::size_t unknown_count_ = 0;
 };
 
-// Fills every Augmented field except the template id, given an already
-// resolved router key.  Pure w.r.t. shared state (the extractor and dict
-// are read-only), so pipeline shards may call it concurrently.
+// Fills every Augmented field except the template id, given the key
+// RouterResolver found (a dictionary router id when `router_known`).
+// Pure w.r.t. shared state (the dict is read-only), so pipeline shards may
+// call it concurrently.
 Augmented AugmentWithRouting(const syslog::SyslogRecord& rec,
                              std::size_t raw_index, std::uint32_t router_key,
-                             bool router_known,
-                             const LocationExtractor& extractor,
-                             const LocationDict& dict);
+                             bool router_known, const LocationDict& dict);
 
 // Augments records with template ids (creating catch-all fallbacks for
 // unmatched messages) and locations.
 class Augmenter {
  public:
   Augmenter(TemplateSet* templates, const LocationDict* dict)
-      : templates_(templates), extractor_(dict), dict_(dict),
-        resolver_(dict) {}
+      : templates_(templates), dict_(dict), resolver_(dict) {}
 
   Augmented Augment(const syslog::SyslogRecord& rec, std::size_t raw_index);
 
@@ -116,7 +114,6 @@ class Augmenter {
 
  private:
   TemplateSet* templates_;
-  LocationExtractor extractor_;
   const LocationDict* dict_;
   RouterResolver resolver_;
 };

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <span>
 
 #include "common/strings.h"
+#include "core/templates/token_class.h"
 #include "net/addr.h"
 
 namespace sld::core {
@@ -60,13 +62,6 @@ double LevelWeight(LocLevel level) noexcept {
   return 5.0;
 }
 
-std::string LocationDict::Key(DictRouterId router, std::string_view name) {
-  std::string key = std::to_string(router);
-  key += '\x1f';
-  key += name;
-  return key;
-}
-
 LocationId LocationDict::AddLocation(Location loc) {
   loc.id = static_cast<LocationId>(locations_.size());
   locations_.push_back(std::move(loc));
@@ -84,6 +79,7 @@ LocationDict LocationDict::Build(
         static_cast<DictRouterId>(dict.router_names_.size());
     dict.router_names_.push_back(cfg.hostname);
     dict.router_index_.emplace(cfg.hostname, rid);
+    dict.on_router_.emplace_back();
     Location loc;
     loc.router = rid;
     loc.level = LocLevel::kRouter;
@@ -99,13 +95,14 @@ LocationDict LocationDict::Build(
     std::string peer_if;
   };
   std::vector<LinkClaim> claims;
-  // Port names kept separately: on V2 routers an untagged layer-3
-  // interface shares its port's name, and both meanings must stay
+  // Port names kept separately, by router id: on V2 routers an untagged
+  // layer-3 interface shares its port's name, and both meanings must stay
   // addressable (ports for link resolution, interfaces for addresses).
-  std::unordered_map<std::string, LocationId> port_names;
+  std::vector<NameMap> port_names(dict.router_names_.size());
 
   for (const net::ParsedConfig& cfg : configs) {
     const DictRouterId rid = dict.router_index_.at(cfg.hostname);
+    RouterNames& own = dict.on_router_[rid];
 
     if (!cfg.loopback_ip.empty()) {
       dict.by_ip_.emplace(cfg.loopback_ip, dict.router_locations_[rid]);
@@ -118,8 +115,8 @@ LocationDict LocationDict::Build(
       ParsePosition(port.name, loc.slot, loc.port);
       loc.name = port.name;
       const LocationId id = dict.AddLocation(std::move(loc));
-      dict.names_.emplace(Key(rid, port.name), id);
-      port_names.emplace(Key(rid, port.name), id);
+      own.names.emplace(port.name, id);
+      port_names[rid].emplace(port.name, id);
       if (!port.peer_router.empty()) {
         claims.push_back({id, port.peer_router, port.peer_if});
       }
@@ -137,7 +134,7 @@ LocationDict LocationDict::Build(
       }
       loc.name = ctrl;
       const LocationId id = dict.AddLocation(std::move(loc));
-      dict.names_.emplace(Key(rid, ctrl), id);
+      own.names.emplace(ctrl, id);
     }
 
     for (const net::ParsedInterface& intf : cfg.interfaces) {
@@ -149,9 +146,9 @@ LocationDict LocationDict::Build(
       // ("Serial1/0.10:0" -> "Serial1/0"; a V2 untagged interface is the
       // port name itself).
       const std::size_t dot = intf.name.find('.');
-      const std::string parent_name = intf.name.substr(0, dot);
-      const auto parent = port_names.find(Key(rid, parent_name));
-      if (parent != port_names.end()) {
+      const auto parent =
+          port_names[rid].find(std::string_view(intf.name).substr(0, dot));
+      if (parent != port_names[rid].end()) {
         loc.parent = parent->second;
         loc.slot = dict.locations_[parent->second].slot;
         loc.port = dict.locations_[parent->second].port;
@@ -161,7 +158,7 @@ LocationDict LocationDict::Build(
       const LocationId id = dict.AddLocation(std::move(loc));
       // The logical interface is the more specific meaning of the name
       // (V2 untagged interfaces share their port's name).
-      dict.names_[Key(rid, intf.name)] = id;
+      own.names.insert_or_assign(intf.name, id);
       if (!intf.ip.empty()) {
         dict.by_ip_.emplace(intf.ip, id);
         if (intf.prefix_len < 32) {
@@ -186,7 +183,7 @@ LocationDict LocationDict::Build(
         if (slot >= 0) loc.bundle_slots.push_back(slot);
       }
       const LocationId id = dict.AddLocation(std::move(loc));
-      dict.names_.emplace(Key(rid, bundle.name), id);
+      own.names.emplace(bundle.name, id);
     }
 
     for (const net::ParsedBgpNeighbor& nbr : cfg.bgp_neighbors) {
@@ -195,7 +192,7 @@ LocationDict LocationDict::Build(
       loc.level = LocLevel::kSession;
       loc.name = "bgp " + nbr.ip + (nbr.vrf.empty() ? "" : " vrf " + nbr.vrf);
       const LocationId id = dict.AddLocation(std::move(loc));
-      dict.session_by_key_.emplace(Key(rid, nbr.ip), id);
+      own.sessions.emplace(nbr.ip, id);
     }
 
     for (const net::ParsedPath& path : cfg.paths) {
@@ -225,8 +222,9 @@ LocationDict LocationDict::Build(
     const auto rit = dict.router_index_.find(claim.peer_router);
     if (rit == dict.router_index_.end()) continue;
     // Descriptions name the peer's *port*.
-    const auto pit = port_names.find(Key(rit->second, claim.peer_if));
-    if (pit == port_names.end()) continue;
+    const NameMap& peer_ports = port_names[rit->second];
+    const auto pit = peer_ports.find(claim.peer_if);
+    if (pit == peer_ports.end()) continue;
     const LocationId a = claim.local;
     const LocationId b = pit->second;
     const auto key = std::minmax(a, b);
@@ -255,9 +253,65 @@ LocationDict LocationDict::Build(
   return dict;
 }
 
+std::vector<LocationId> LocationDict::Extract(DictRouterId router,
+                                             std::string_view detail) const {
+  std::vector<LocationId> out;
+  const auto add = [&out](LocationId id) {
+    if (std::find(out.begin(), out.end(), id) == out.end()) {
+      out.push_back(id);
+    }
+  };
+  add(RouterLocation(router));
+
+  // Extract() is const and runs concurrently on pool workers, so the
+  // tokenization scratch is per-thread rather than a member.
+  std::vector<std::string_view>& tokens = TlsTokenScratch();
+  SplitWhitespace(detail, &tokens);
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const std::string_view s = StripPunct(tokens[i]);
+    if (s.empty()) continue;
+    if (LooksLikeIpv4(s)) {
+      // A neighbor statement on this router (BGP session endpoint)...
+      if (const auto sess = SessionOnRouter(router, s)) add(*sess);
+      // ...and/or an address configured somewhere in the network; an
+      // unconfigured address still resolves if it falls inside a
+      // configured interface subnet (the far end of a point-to-point).
+      if (const auto owner = ByIp(s)) {
+        add(*owner);
+      } else if (const auto subnet = ByIpInPrefix(s)) {
+        add(*subnet);
+      }
+      continue;
+    }
+    // Two-token controller form: "T1 0/3".  The joined name is built in
+    // per-thread scratch, which stops allocating once it has grown.
+    if (s.size() <= 3 && i + 1 < tokens.size()) {
+      const std::string_view pos = StripPunct(tokens[i + 1]);
+      if (LooksLikeIfPosition(pos)) {
+        thread_local std::string name;
+        name.assign(s).append(1, ' ').append(pos);
+        if (const auto loc = NameOnRouter(router, name)) {
+          add(*loc);
+          ++i;
+          continue;
+        }
+      }
+    }
+    if (const auto loc = NameOnRouter(router, s)) {
+      add(*loc);
+      continue;
+    }
+    if (const auto path = PathByName(s)) {
+      add(*path);
+      continue;
+    }
+  }
+  return out;
+}
+
 std::optional<DictRouterId> LocationDict::RouterByName(
     std::string_view name) const {
-  const auto it = router_index_.find(std::string(name));
+  const auto it = router_index_.find(name);
   if (it == router_index_.end()) return std::nullopt;
   return it->second;
 }
@@ -268,13 +322,14 @@ LocationId LocationDict::RouterLocation(DictRouterId router) const {
 
 std::optional<LocationId> LocationDict::NameOnRouter(
     DictRouterId router, std::string_view name) const {
-  const auto it = names_.find(Key(router, name));
-  if (it == names_.end()) return std::nullopt;
+  const NameMap& names = on_router_.at(router).names;
+  const auto it = names.find(name);
+  if (it == names.end()) return std::nullopt;
   return it->second;
 }
 
 std::optional<LocationId> LocationDict::ByIp(std::string_view ip) const {
-  const auto it = by_ip_.find(std::string(ip));
+  const auto it = by_ip_.find(ip);
   if (it == by_ip_.end()) return std::nullopt;
   return it->second;
 }
@@ -293,15 +348,16 @@ std::optional<LocationId> LocationDict::ByIpInPrefix(
 
 std::optional<LocationId> LocationDict::PathByName(
     std::string_view name) const {
-  const auto it = path_by_name_.find(std::string(name));
+  const auto it = path_by_name_.find(name);
   if (it == path_by_name_.end()) return std::nullopt;
   return it->second;
 }
 
 std::optional<LocationId> LocationDict::SessionOnRouter(
     DictRouterId router, std::string_view neighbor) const {
-  const auto it = session_by_key_.find(Key(router, neighbor));
-  if (it == session_by_key_.end()) return std::nullopt;
+  const NameMap& sessions = on_router_.at(router).sessions;
+  const auto it = sessions.find(neighbor);
+  if (it == sessions.end()) return std::nullopt;
   return it->second;
 }
 
@@ -322,13 +378,13 @@ bool LocationDict::SpatiallyMatched(LocationId a, LocationId b) const {
   if (la.router != lb.router) return false;
   // Slot sets: empty (router/session scope) matches everything on the
   // router; bundles carry their member slots.
-  const auto slots_of = [](const Location& l) -> std::vector<int> {
+  const auto slots_of = [](const Location& l) -> std::span<const int> {
     if (l.level == LocLevel::kBundle) return l.bundle_slots;
-    if (l.slot >= 0) return {l.slot};
+    if (l.slot >= 0) return {&l.slot, 1};
     return {};
   };
-  const std::vector<int> sa = slots_of(la);
-  const std::vector<int> sb = slots_of(lb);
+  const std::span<const int> sa = slots_of(la);
+  const std::span<const int> sb = slots_of(lb);
   if (sa.empty() || sb.empty()) return true;
   for (const int s : sa) {
     if (std::find(sb.begin(), sb.end(), s) != sb.end()) return true;

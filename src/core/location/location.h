@@ -8,6 +8,12 @@
 // from neighbor statements, multi-hop paths) are recorded so the online
 // groupers can test both same-router spatial matching and cross-router
 // connectedness.
+//
+// Online, Extract finds the locations a message's detail text names.
+// Location-format patterns (addresses, interface names, port positions)
+// are *validated against the dictionary*: an address that belongs to no
+// configured interface (a scanner, a remote host) yields no location, as
+// the paper requires ("naive pattern matching is not sufficient...").
 #pragma once
 
 #include <cstdint>
@@ -19,6 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "net/config_parser.h"
 
 namespace sld::core {
@@ -74,6 +81,12 @@ class LocationDict {
   // Builds the dictionary from parsed router configurations.
   static LocationDict Build(const std::vector<net::ParsedConfig>& configs);
 
+  // Locations a message from `router` names in its detail text.  The
+  // router-level location is always the first element; the rest follow in
+  // text order, deduplicated and dictionary-validated.
+  std::vector<LocationId> Extract(DictRouterId router,
+                                  std::string_view detail) const;
+
   // -- lookups -----------------------------------------------------------
   std::optional<DictRouterId> RouterByName(std::string_view name) const;
   // Router-level location of a router.
@@ -114,25 +127,31 @@ class LocationDict {
   bool Connected(LocationId a, LocationId b) const;
 
  private:
+  // string_view-probed name -> location map.
+  using NameMap =
+      std::unordered_map<std::string, LocationId, StringHash, std::equal_to<>>;
+  // What one router's config names.
+  struct RouterNames {
+    NameMap names;     // interfaces, ports, controllers, bundles
+    NameMap sessions;  // BGP session endpoints by neighbor address
+  };
+
   LocationId AddLocation(Location loc);
 
   std::vector<Location> locations_;
   std::vector<std::string> router_names_;
-  std::unordered_map<std::string, DictRouterId> router_index_;
+  std::unordered_map<std::string, DictRouterId, StringHash, std::equal_to<>>
+      router_index_;
   std::vector<LocationId> router_locations_;
-  // Per-router name maps are merged into one keyed map "router\x1fname".
-  std::unordered_map<std::string, LocationId> names_;
-  std::unordered_map<std::string, LocationId> by_ip_;
+  std::vector<RouterNames> on_router_;  // by router id
+  NameMap by_ip_;
   // prefix length (descending iteration) -> network address -> location.
   std::map<int, std::unordered_map<std::uint32_t, LocationId>,
            std::greater<int>>
       by_prefix_;
-  std::unordered_map<std::string, LocationId> path_by_name_;
-  std::unordered_map<std::string, LocationId> session_by_key_;
+  NameMap path_by_name_;
   std::vector<DictLink> links_;
   std::vector<DictPath> paths_;
-
-  static std::string Key(DictRouterId router, std::string_view name);
 };
 
 }  // namespace sld::core

@@ -60,7 +60,6 @@ TemplateId TemplateSet::AddUnchecked(std::string code,
       tmpl.id);
   by_canonical_.emplace(std::move(canonical), tmpl.id);
   templates_.push_back(std::move(tmpl));
-  ++epoch_;
   return templates_.back().id;
 }
 

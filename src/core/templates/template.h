@@ -87,11 +87,6 @@ class TemplateSet {
   TemplateId MatchOrFallback(std::string_view code, std::string_view detail,
                              std::vector<std::string_view>* scratch);
 
-  // Bumped on every structural insertion (a new canonical form).  Memo
-  // caches layered above the set version their entries against it so a
-  // catch-all Add invalidates them.
-  std::uint64_t epoch() const noexcept { return epoch_; }
-
   const Template& Get(TemplateId id) const { return templates_.at(id); }
   std::size_t size() const noexcept { return templates_.size(); }
   const std::vector<Template>& All() const noexcept { return templates_; }
@@ -118,7 +113,6 @@ class TemplateSet {
   // (code, token-count) -> candidate template ids, for O(candidates) match.
   std::unordered_map<std::uint64_t, std::vector<TemplateId>> index_;
   std::unordered_map<std::string, TemplateId> by_canonical_;
-  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace sld::core

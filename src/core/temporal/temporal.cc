@@ -13,7 +13,8 @@ double TemporalGrouper::PriorFor(TemplateId tmpl) const {
   return kDefaultPriorMs;
 }
 
-std::size_t TemporalGrouper::Feed(const Augmented& msg) {
+std::size_t TemporalGrouper::Feed(const Augmented& msg,
+                                  std::optional<std::size_t>* prev) {
   // Keyed on (template, router): "temporal grouping targets messages with
   // the same template on the same router" (§3.2).
   const Key key{(static_cast<std::uint64_t>(msg.tmpl) << 32) |
@@ -25,6 +26,7 @@ std::size_t TemporalGrouper::Feed(const Augmented& msg) {
     st.last_time = msg.time;
     st.shat = PriorFor(msg.tmpl);
     st.group = next_group_++;
+    st.tail = msg.raw_index;
     return st.group;
   }
   const TimeMs s = msg.time - st.last_time;
@@ -39,7 +41,10 @@ std::size_t TemporalGrouper::Feed(const Augmented& msg) {
   if (!same_group) {
     st.group = next_group_++;
     st.shat = PriorFor(msg.tmpl);  // fresh burst: reseed the prediction
+  } else if (prev != nullptr) {
+    *prev = st.tail;
   }
+  st.tail = msg.raw_index;
   return st.group;
 }
 

@@ -14,6 +14,7 @@
 // ratio on historical data (the sweeps of Figs. 10-11).
 #pragma once
 
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -42,44 +43,47 @@ class TemporalGrouper {
   TemporalGrouper(TemporalParams params, const TemporalPriors* priors)
       : params_(params), priors_(priors) {}
 
-  // Returns the temporal group id assigned to this message.
-  std::size_t Feed(const Augmented& msg);
+  // Returns the temporal group id assigned to this message.  When the
+  // message continues its chain's group and `prev` is given, *prev
+  // receives the sequence number (raw index) of the chain's previous
+  // message.
+  std::size_t Feed(const Augmented& msg,
+                   std::optional<std::size_t>* prev = nullptr);
 
   std::size_t group_count() const noexcept { return next_group_; }
 
   // Checkpointing (DESIGN.md §14): one live (template, router) chain.
-  // Exported group ids identify chains within one export; on import
-  // each chain gets a freshly allocated id, so snapshots are portable
-  // across instances (and shard counts) — only chain identity matters.
+  // On import each chain gets a freshly allocated group id, so snapshots
+  // are portable across instances (and shard counts) — only chain
+  // identity matters.
   struct ChainState {
     std::uint64_t key_a = 0;
     std::uint32_t key_b = 0;
     TimeMs last_time = 0;
     double shat = 0.0;
-    std::size_t group = 0;
+    std::size_t tail = 0;  // sequence number of the chain's latest message
   };
   void ExportChains(std::vector<ChainState>* out) const {
     out->reserve(out->size() + states_.size());
     for (const auto& [key, st] : states_) {
-      out->push_back({key.a, key.b, st.last_time, st.shat, st.group});
+      out->push_back({key.a, key.b, st.last_time, st.shat, st.tail});
     }
   }
-  // Restores one chain under a new group id and returns that id.
-  std::size_t ImportChain(const ChainState& chain) {
+  void ImportChain(const ChainState& chain) {
     KeyState st;
     st.last_time = chain.last_time;
     st.shat = chain.shat;
     st.group = next_group_++;
+    st.tail = chain.tail;
     states_[Key{chain.key_a, chain.key_b}] = st;
-    return st.group;
   }
 
  private:
   struct KeyState {
     TimeMs last_time = 0;
     double shat = 0.0;
-    bool has_interval = false;
     std::size_t group = 0;
+    std::size_t tail = 0;
   };
 
   double PriorFor(TemplateId tmpl) const;

@@ -46,6 +46,20 @@ std::vector<net::ParsedConfig> LoadConfigDir(const std::string& dir,
   return parsed;
 }
 
+std::unique_ptr<core::KnowledgeBase> LoadKnowledgeBase(
+    const std::string& path, std::string* error) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+  if (text.empty()) {
+    if (error != nullptr) *error = "cannot read " + path;
+    return nullptr;
+  }
+  return std::make_unique<core::KnowledgeBase>(
+      core::KnowledgeBase::Deserialize(text));
+}
+
 Engine::Engine(core::KnowledgeBase* kb, const core::LocationDict* dict,
                EngineOptions options)
     : options_(std::move(options)),
@@ -85,13 +99,8 @@ std::unique_ptr<Engine> Engine::Load(const std::string& configs_dir,
                                      const std::string& kb_path,
                                      EngineOptions options,
                                      std::string* error) {
-  std::ifstream kb_in(kb_path);
-  std::stringstream kb_text;
-  kb_text << kb_in.rdbuf();
-  if (kb_text.str().empty()) {
-    if (error != nullptr) *error = "cannot read " + kb_path;
-    return nullptr;
-  }
+  auto kb = LoadKnowledgeBase(kb_path, error);
+  if (kb == nullptr) return nullptr;
   std::string cfg_error;
   auto configs = LoadConfigDir(configs_dir, &cfg_error);
   if (!cfg_error.empty()) {
@@ -100,8 +109,6 @@ std::unique_ptr<Engine> Engine::Load(const std::string& configs_dir,
   }
   auto dict = std::make_unique<core::LocationDict>(
       core::LocationDict::Build(configs));
-  auto kb = std::make_unique<core::KnowledgeBase>(
-      core::KnowledgeBase::Deserialize(kb_text.str()));
   auto engine =
       std::make_unique<Engine>(kb.get(), dict.get(), std::move(options));
   engine->owned_kb_ = std::move(kb);

@@ -76,6 +76,12 @@ struct EngineOptions {
 std::vector<net::ParsedConfig> LoadConfigDir(const std::string& dir,
                                              std::string* error = nullptr);
 
+// Reads and deserializes the knowledge base at `path`.  A missing,
+// unreadable or empty file returns null and fills `error` with
+// "cannot read PATH".
+std::unique_ptr<core::KnowledgeBase> LoadKnowledgeBase(
+    const std::string& path, std::string* error = nullptr);
+
 class Engine {
  public:
   using EventSink = std::function<void(const core::DigestEvent&)>;

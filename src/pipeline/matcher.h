@@ -11,14 +11,15 @@
 // most traffic), so each shard additionally keeps a private memo cache
 // mapping hash(code, detail) -> TemplateId.  A memo hit touches no lock
 // and performs no heap allocation — the steady-state cost of signature
-// matching is one FNV-1a pass over the message plus one table probe.  The
-// cache is versioned against the TemplateSet epoch: a catch-all insertion
-// bumps the epoch, and every shard drops its (possibly stale) entries the
-// next time it looks, without the hit path ever taking the shared lock.
+// matching is one hash pass over the message plus one table probe.
+//
+// A memoized answer never goes stale.  The only templates added while
+// serving are all-masked catch-alls for a (code, token count) that no
+// template matched, and TemplateSet::Match prefers strictly more fixed
+// tokens, then the earlier id: a new catch-all (zero fixed tokens, the
+// newest id) never wins over a template that already matched a message.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -85,50 +86,22 @@ class ShardMatchCache {
     }
   }
 
-  // Drops every entry when the template set has moved past the epoch this
-  // cache was filled under.
-  void SyncEpoch(std::uint64_t epoch) noexcept {
-    if (epoch != epoch_) {
-      Clear();
-      epoch_ = epoch;
-      ++invalidations_;
-    }
-  }
-
-  void Clear() noexcept {
-    std::fill(keys_.begin(), keys_.end(), 0);
-    std::fill(vals_.begin(), vals_.end(), core::kNoTemplate);
-    size_ = 0;
-  }
-
   std::size_t size() const noexcept { return size_; }
-  std::uint64_t epoch() const noexcept { return epoch_; }
   std::uint64_t lookups() const noexcept { return lookups_; }
   std::uint64_t hits() const noexcept { return hits_; }
-  // Epoch-change flushes this cache has performed (each one re-pays the
-  // warmup misses; a high rate means the template set is still churning).
-  std::uint64_t invalidations() const noexcept { return invalidations_; }
-  double hit_rate() const noexcept {
-    return lookups_ == 0 ? 0.0
-                         : static_cast<double>(hits_) /
-                               static_cast<double>(lookups_);
-  }
 
  private:
   std::vector<std::uint64_t> keys_;  // 0 = empty slot
   std::vector<core::TemplateId> vals_;
   std::size_t mask_;
   std::size_t size_ = 0;
-  std::uint64_t epoch_ = 0;
   std::uint64_t lookups_ = 0;
   std::uint64_t hits_ = 0;
-  std::uint64_t invalidations_ = 0;
 };
 
 class ConcurrentTemplateMatcher {
  public:
-  explicit ConcurrentTemplateMatcher(core::TemplateSet* set)
-      : set_(set), epoch_(set->epoch()) {}
+  explicit ConcurrentTemplateMatcher(core::TemplateSet* set) : set_(set) {}
 
   // The shard hot path.  `cache` (may be null) and `scratch` are owned by
   // the calling shard; a memo hit returns without locking or allocating.
@@ -138,7 +111,6 @@ class ConcurrentTemplateMatcher {
                                    std::vector<std::string_view>* scratch) {
     std::uint64_t key = 0;
     if (cache != nullptr) {
-      cache->SyncEpoch(epoch_.load(std::memory_order_acquire));
       key = MessageKey(code, detail);
       if (const auto id = cache->Lookup(key)) return *id;
     }
@@ -155,15 +127,7 @@ class ConcurrentTemplateMatcher {
     // MatchOrFallback dedups on the canonical form).
     std::unique_lock lock(mutex_);
     const core::TemplateId id = set_->MatchOrFallback(code, detail, scratch);
-    // Publish the (possibly bumped) epoch while still serialized by the
-    // writer lock, so concurrent fallbacks cannot reorder the stores.
-    epoch_.store(set_->epoch(), std::memory_order_release);
-    if (cache != nullptr) {
-      // Adopt the new epoch before inserting, or the entry would be
-      // dropped by our own SyncEpoch on the next message.
-      cache->SyncEpoch(set_->epoch());
-      cache->Insert(key, id);
-    }
+    if (cache != nullptr) cache->Insert(key, id);
     return id;
   }
 
@@ -174,19 +138,12 @@ class ConcurrentTemplateMatcher {
     return MatchOrFallback(code, detail, nullptr, &scratch);
   }
 
-  // The template-set epoch as last published by a writer, readable
-  // without any lock.
-  std::uint64_t epoch() const noexcept {
-    return epoch_.load(std::memory_order_acquire);
-  }
-
   // Reader-lockable by stages that read template text (event labeling).
   std::shared_mutex& mutex() noexcept { return mutex_; }
 
  private:
   core::TemplateSet* set_;
   std::shared_mutex mutex_;
-  std::atomic<std::uint64_t> epoch_;
 };
 
 }  // namespace sld::pipeline

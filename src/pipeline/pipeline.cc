@@ -79,9 +79,6 @@ void ShardedPipeline::Shard::BindMetrics(obs::Registry* reg,
   cache_misses_cell = reg->AddCounter(
       "pipeline_match_cache_misses_total",
       "memo-cache lookups that fell through to the shared matcher");
-  cache_invalidations_cell = reg->AddCounter(
-      "pipeline_match_cache_invalidations_total",
-      "memo-cache epoch flushes across shards");
 }
 
 void ShardedPipeline::Shard::Publish(std::size_t messages) {
@@ -91,11 +88,8 @@ void ShardedPipeline::Shard::Publish(std::size_t messages) {
   const std::uint64_t hits = match_cache.hits() - published_hits;
   cache_hits_cell->Inc(hits);
   cache_misses_cell->Inc(lookups - hits);
-  cache_invalidations_cell->Inc(match_cache.invalidations() -
-                                published_invalidations);
   published_lookups = match_cache.lookups();
   published_hits = match_cache.hits();
-  published_invalidations = match_cache.invalidations();
 }
 
 ShardedPipeline::ShardedPipeline(core::KnowledgeBase* kb,
@@ -105,7 +99,6 @@ ShardedPipeline::ShardedPipeline(core::KnowledgeBase* kb,
       options_(options),
       matcher_(&kb->templates),
       resolver_(dict),
-      extractor_(dict),
       // Threaded, workers may grow the template set (catch-all creation)
       // while the merge thread reads it for event labels.
       tracker_(kb, dict, options.idle_close_ms, options.max_group_age_ms,
@@ -171,8 +164,8 @@ void ShardedPipeline::ShardStep(Shard& shard,
                                 const syslog::SyslogRecord& rec,
                                 std::size_t seq, std::uint32_t router_key,
                                 bool router_known, ShardOutput* out) {
-  out->msg = core::AugmentWithRouting(rec, seq, router_key, router_known,
-                                      extractor_, *dict_);
+  out->msg =
+      core::AugmentWithRouting(rec, seq, router_key, router_known, *dict_);
   out->msg.tmpl = matcher_.MatchOrFallback(
       rec.code, rec.detail, &shard.match_cache, &shard.match_scratch);
   out->edges.clear();
@@ -320,7 +313,7 @@ void ShardedPipeline::SaveState(ckpt::Writer* w) {
   Quiesce();
   w->U64(seq_);
   SaveResolverState(resolver_, w);
-  std::vector<TemporalStage::ChainSnapshot> chains;
+  std::vector<TemporalStage::ChainState> chains;
   for (const auto& shard : shards_) shard->temporal.ExportState(&chains);
   SaveTemporalChains(std::move(chains), w);
   std::vector<RuleStage::WindowSnapshot> windows;
@@ -335,10 +328,9 @@ void ShardedPipeline::SaveState(ckpt::Writer* w) {
 bool ShardedPipeline::LoadState(ckpt::Reader* r) {
   seq_ = r->U64();
   bool ok = LoadResolverState(&resolver_, r);
-  ok = ok && LoadTemporalChains(r, [this](
-                                       const TemporalStage::ChainSnapshot& c) {
-         const auto router =
-             static_cast<std::uint32_t>(c.chain.key_a & 0xFFFFFFFFu);
+  ok = ok &&
+       LoadTemporalChains(r, [this](const TemporalStage::ChainState& c) {
+         const auto router = static_cast<std::uint32_t>(c.key_a & 0xFFFFFFFFu);
          shards_[router % shards_.size()]->temporal.ImportChain(c);
        });
   ok = ok && LoadRuleWindows(r, [this](const RuleStage::WindowSnapshot& win) {

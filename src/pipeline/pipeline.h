@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "core/digest.h"
-#include "core/location/extractor.h"
+#include "core/location/location.h"
 #include "obs/registry.h"
 #include "pipeline/matcher.h"
 #include "pipeline/stages.h"
@@ -161,10 +161,8 @@ class ShardedPipeline {
     obs::Counter* messages_cell = nullptr;
     obs::Counter* cache_hits_cell = nullptr;
     obs::Counter* cache_misses_cell = nullptr;
-    obs::Counter* cache_invalidations_cell = nullptr;
     std::uint64_t published_lookups = 0;
     std::uint64_t published_hits = 0;
-    std::uint64_t published_invalidations = 0;
   };
   // Queues, threads and their cells at shards > 1 (pipeline.cc).
   struct Threads;
@@ -187,8 +185,6 @@ class ShardedPipeline {
   PipelineOptions options_;
   ConcurrentTemplateMatcher matcher_;
   core::RouterResolver resolver_;
-  // Stateless and const, so every shard shares it.
-  const core::LocationExtractor extractor_;
   GroupTracker tracker_;
   CrossRouterStage cross_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -8,12 +8,9 @@ namespace sld::pipeline {
 
 void TemporalStage::Feed(const core::Augmented& msg,
                          std::vector<MergeEdge>* out) {
-  const std::size_t group = grouper_.Feed(msg);
-  const auto [it, fresh] = tail_.emplace(group, msg.raw_index);
-  if (!fresh) {
-    out->push_back({it->second, msg.raw_index});
-    it->second = msg.raw_index;
-  }
+  std::optional<std::size_t> prev;
+  grouper_.Feed(msg, &prev);
+  if (prev) out->push_back({*prev, msg.raw_index});
 }
 
 RuleStage::Scope RuleStage::ScopeOf(
@@ -108,25 +105,6 @@ void RuleStage::Evict(Window& window, TimeMs now) {
     window.entries.pop_front();
     ++window.base;
   }
-}
-
-void TemporalStage::ExportState(std::vector<ChainSnapshot>* out) const {
-  std::vector<core::TemporalGrouper::ChainState> chains;
-  grouper_.ExportChains(&chains);
-  out->reserve(out->size() + chains.size());
-  for (const core::TemporalGrouper::ChainState& chain : chains) {
-    // Every live chain has a tail: Feed records one the moment the
-    // grouper returns a group id.
-    ChainSnapshot snap;
-    snap.chain = chain;
-    snap.tail_seq = tail_.at(chain.group);
-    out->push_back(std::move(snap));
-  }
-}
-
-void TemporalStage::ImportChain(const ChainSnapshot& snap) {
-  const std::size_t group = grouper_.ImportChain(snap.chain);
-  tail_.emplace(group, static_cast<std::size_t>(snap.tail_seq));
 }
 
 void RuleStage::ExportState(std::vector<WindowSnapshot>* out) const {

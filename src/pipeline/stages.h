@@ -60,17 +60,14 @@ class TemporalStage {
   // Checkpointing (DESIGN.md §14): every live chain with the sequence
   // number of its latest message.  Exports are unordered; the caller
   // sorts by key for a canonical, shard-count-independent layout.
-  struct ChainSnapshot {
-    core::TemporalGrouper::ChainState chain;
-    std::uint64_t tail_seq = 0;
-  };
-  void ExportState(std::vector<ChainSnapshot>* out) const;
-  void ImportChain(const ChainSnapshot& snap);
+  using ChainState = core::TemporalGrouper::ChainState;
+  void ExportState(std::vector<ChainState>* out) const {
+    grouper_.ExportChains(out);
+  }
+  void ImportChain(const ChainState& chain) { grouper_.ImportChain(chain); }
 
  private:
   core::TemporalGrouper grouper_;
-  // temporal group id -> sequence number of the chain's latest message.
-  std::unordered_map<std::size_t, std::size_t> tail_;
 };
 
 // Pass 2 (§4.2.2): different templates on the same router related by a

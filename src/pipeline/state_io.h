@@ -37,38 +37,36 @@ inline bool LoadResolverState(core::RouterResolver* resolver,
 }
 
 // Temporal chains, sorted by key (shard-count independent).
-inline void SaveTemporalChains(
-    std::vector<TemporalStage::ChainSnapshot> chains, ckpt::Writer* w) {
+inline void SaveTemporalChains(std::vector<TemporalStage::ChainState> chains,
+                               ckpt::Writer* w) {
   std::sort(chains.begin(), chains.end(),
-            [](const TemporalStage::ChainSnapshot& a,
-               const TemporalStage::ChainSnapshot& b) {
-              if (a.chain.key_a != b.chain.key_a) {
-                return a.chain.key_a < b.chain.key_a;
-              }
-              return a.chain.key_b < b.chain.key_b;
+            [](const TemporalStage::ChainState& a,
+               const TemporalStage::ChainState& b) {
+              if (a.key_a != b.key_a) return a.key_a < b.key_a;
+              return a.key_b < b.key_b;
             });
   w->U64(chains.size());
-  for (const TemporalStage::ChainSnapshot& snap : chains) {
-    w->U64(snap.chain.key_a);
-    w->U32(snap.chain.key_b);
-    w->I64(snap.chain.last_time);
-    w->F64(snap.chain.shat);
-    w->U64(snap.tail_seq);
+  for (const TemporalStage::ChainState& chain : chains) {
+    w->U64(chain.key_a);
+    w->U32(chain.key_b);
+    w->I64(chain.last_time);
+    w->F64(chain.shat);
+    w->U64(chain.tail);
   }
 }
 
 inline bool LoadTemporalChains(
     ckpt::Reader* r,
-    const std::function<void(const TemporalStage::ChainSnapshot&)>& add) {
+    const std::function<void(const TemporalStage::ChainState&)>& add) {
   const std::uint64_t n = r->Count(8 + 4 + 8 + 8 + 8);
   for (std::uint64_t i = 0; i < n && r->ok(); ++i) {
-    TemporalStage::ChainSnapshot snap;
-    snap.chain.key_a = r->U64();
-    snap.chain.key_b = r->U32();
-    snap.chain.last_time = r->I64();
-    snap.chain.shat = r->F64();
-    snap.tail_seq = r->U64();
-    if (r->ok()) add(snap);
+    TemporalStage::ChainState chain;
+    chain.key_a = r->U64();
+    chain.key_b = r->U32();
+    chain.last_time = r->I64();
+    chain.shat = r->F64();
+    chain.tail = static_cast<std::size_t>(r->U64());
+    if (r->ok()) add(chain);
   }
   return r->ok();
 }

@@ -74,24 +74,6 @@ TEST_F(AugmentTest, UnmatchedMessageGetsFallbackTemplate) {
   EXPECT_EQ(templates_.Get(a.tmpl).Canonical(), "NEW-0-THING * * *");
 }
 
-// Regression: a record whose router key claims router_known but whose
-// name the extractor cannot place (e.g. the router was renamed between
-// the config snapshot that minted the key and the one behind the
-// extractor) yields zero locations.  The primary-location pick used to
-// read locs.front() unconditionally — UB on the empty vector.
-TEST_F(AugmentTest, KnownKeyWithNoExtractableLocationsIsSafe) {
-  LocationExtractor extractor(&dict_);
-  syslog::SyslogRecord rec{0, "renamed-router", "SYS-5-RESTART",
-                           "System restarted"};
-  const Augmented a =
-      AugmentWithRouting(rec, 0, /*router_key=*/0, /*router_known=*/true,
-                         extractor, dict_);
-  EXPECT_TRUE(a.router_known);
-  EXPECT_TRUE(a.locs.empty());
-  EXPECT_EQ(a.primary, kNoId);
-  EXPECT_FALSE(a.HasDetailLocation());
-}
-
 TEST_F(AugmentTest, AugmentAllPreservesOrderAndIndices) {
   Augmenter aug(&templates_, &dict_);
   std::vector<syslog::SyslogRecord> recs;

@@ -1,4 +1,4 @@
-#include "core/location/extractor.h"
+#include "core/location/location.h"
 
 #include <gtest/gtest.h>
 
@@ -41,11 +41,14 @@ class ExtractorTest : public ::testing::Test {
                                  net::ParseConfig(r2)});
   }
 
+  // Resolves the router by name first, as RouterResolver does for the
+  // callers; a router absent from every config names no locations.
   std::vector<std::string> Names(std::string_view router,
                                  std::string_view detail) {
-    LocationExtractor extractor(&dict_);
     std::vector<std::string> out;
-    for (const LocationId id : extractor.Extract(router, detail)) {
+    const auto rid = dict_.RouterByName(router);
+    if (!rid) return out;
+    for (const LocationId id : dict_.Extract(*rid, detail)) {
       out.push_back(dict_.Get(id).name);
     }
     return out;
@@ -149,12 +152,12 @@ TEST(PrefixExtractionTest, FarEndOfPointToPointResolvesViaSubnet) {
       " no ip address\n"
       "interface Serial0/3.10:0\n"
       " ip address 10.0.0.1 255.255.255.252\n")});
-  LocationExtractor extractor(&dict);
-  const auto locs = extractor.Extract("r1", "neighbor 10.0.0.2 unreachable");
+  const DictRouterId r1 = *dict.RouterByName("r1");
+  const auto locs = dict.Extract(r1, "neighbor 10.0.0.2 unreachable");
   ASSERT_EQ(locs.size(), 2u);
   EXPECT_EQ(dict.Get(locs[1]).name, "Serial0/3.10:0");
   // A truly foreign address still resolves to nothing.
-  const auto foreign = extractor.Extract("r1", "probe from 11.0.0.2");
+  const auto foreign = dict.Extract(r1, "probe from 11.0.0.2");
   EXPECT_EQ(foreign.size(), 1u);
 }
 

@@ -147,7 +147,6 @@ TEST(PropertyTest, ExtractorOnlyReturnsDictionaryLocations) {
     parsed.push_back(net::ParseConfig(cfg));
   }
   const core::LocationDict dict = core::LocationDict::Build(parsed);
-  core::LocationExtractor extractor(&dict);
   Rng rng(5);
   for (int i = 0; i < 2000; ++i) {
     const std::string router = ds.topo.routers[rng.Index(6)].name;
@@ -156,7 +155,7 @@ TEST(PropertyTest, ExtractorOnlyReturnsDictionaryLocations) {
       if (!detail.empty()) detail += ' ';
       detail += RandomToken(rng);
     }
-    const auto locs = extractor.Extract(router, detail);
+    const auto locs = dict.Extract(*dict.RouterByName(router), detail);
     ASSERT_FALSE(locs.empty());
     for (const auto loc : locs) {
       ASSERT_LT(loc, dict.size());

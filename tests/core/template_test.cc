@@ -146,22 +146,5 @@ TEST(TemplateSetTest, ScratchMatchOrFallbackReusesOneSplit) {
   EXPECT_EQ(set.size(), 2u);
 }
 
-TEST(TemplateSetTest, EpochBumpsOnlyOnStructuralInsertions) {
-  TemplateSet set;
-  const auto e0 = set.epoch();
-  set.Add("C", Tokens("x * z"));
-  const auto e1 = set.epoch();
-  EXPECT_GT(e1, e0);
-  // Duplicate canonical form: no insertion, no epoch change.
-  set.Add("C", Tokens("x * z"));
-  EXPECT_EQ(set.epoch(), e1);
-  // A matched message adds nothing.
-  set.MatchOrFallback("C", "x anything z");
-  EXPECT_EQ(set.epoch(), e1);
-  // A catch-all insertion bumps it.
-  set.MatchOrFallback("NEW-1-X", "a b");
-  EXPECT_GT(set.epoch(), e1);
-}
-
 }  // namespace
 }  // namespace sld::core

@@ -1,5 +1,5 @@
 // The per-shard match memo cache and the concurrent matcher around it:
-// hit/miss behavior, epoch invalidation after catch-all insertions, and
+// hit/miss behavior, memo entries that outlive catch-all insertions, and
 // the lock-free hit path under thread contention (run under TSan in CI).
 #include "pipeline/matcher.h"
 
@@ -66,17 +66,6 @@ TEST(ShardMatchCacheTest, StopsInsertingWhenHalfFull) {
   EXPECT_EQ(cache.Lookup(MessageKey("A", "2")).value(), 2u);
 }
 
-TEST(ShardMatchCacheTest, SyncEpochClearsStaleEntries) {
-  ShardMatchCache cache;
-  cache.Insert(MessageKey("A", "x"), 1);
-  cache.SyncEpoch(0);  // same epoch: nothing happens
-  EXPECT_EQ(cache.size(), 1u);
-  cache.SyncEpoch(5);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.epoch(), 5u);
-  EXPECT_FALSE(cache.Lookup(MessageKey("A", "x")).has_value());
-}
-
 TEST(ConcurrentTemplateMatcherTest, CachedResultsMatchUncached) {
   core::TemplateSet cached_set = SmallSet();
   core::TemplateSet plain_set = SmallSet();
@@ -110,34 +99,31 @@ TEST(ConcurrentTemplateMatcherTest, CachedResultsMatchUncached) {
   EXPECT_EQ(cache.hits() - hits_before, msgs.size());
 }
 
-TEST(ConcurrentTemplateMatcherTest, CatchAllAddInvalidatesOtherShardCache) {
+// A catch-all minted on one shard never changes an answer another shard
+// has memoized, even for the same code and token count: it has no fixed
+// token and the newest id, so Match never prefers it to a template that
+// already matched.  The memo entry therefore stays and keeps hitting.
+TEST(ConcurrentTemplateMatcherTest, CatchAllKeepsOtherShardMemo) {
   core::TemplateSet set = SmallSet();
   ConcurrentTemplateMatcher matcher(&set);
   ShardMatchCache shard_a;
   ShardMatchCache shard_b;
   std::vector<std::string_view> scratch;
+  const std::string_view code = "BGP-5-ADJCHANGE";
+  const std::string_view detail = "neighbor 10.0.0.1 Up";
 
-  const auto id = matcher.MatchOrFallback(
-      "BGP-5-ADJCHANGE", "neighbor 10.0.0.1 Up", &shard_a, &scratch);
-  EXPECT_EQ(shard_a.size(), 1u);
-  const std::uint64_t epoch_before = matcher.epoch();
+  matcher.MatchOrFallback(code, detail, &shard_a, &scratch);
+  // Same code, same three tokens, but no learned template fits.
+  const std::size_t before = set.size();
+  const auto catch_all =
+      matcher.MatchOrFallback(code, "peer 10.0.0.2 Down", &shard_b, &scratch);
+  ASSERT_EQ(set.size(), before + 1);
+  EXPECT_EQ(set.Get(catch_all).Canonical(), "BGP-5-ADJCHANGE * * *");
 
-  // Another shard forces a catch-all insertion: the epoch moves on.
-  matcher.MatchOrFallback("NEW-1-CODE", "a b c", &shard_b, &scratch);
-  EXPECT_GT(matcher.epoch(), epoch_before);
-  // Shard B adopted the new epoch before inserting, so its own entry
-  // survived its own invalidation.
-  EXPECT_EQ(shard_b.epoch(), matcher.epoch());
-  EXPECT_EQ(shard_b.size(), 1u);
-
-  // Shard A still holds the stale-epoch entry until its next probe syncs
-  // it up; the re-match gives the same answer and re-fills the cache.
-  EXPECT_EQ(shard_a.epoch(), epoch_before);
-  const auto again = matcher.MatchOrFallback(
-      "BGP-5-ADJCHANGE", "neighbor 10.0.0.1 Up", &shard_a, &scratch);
-  EXPECT_EQ(again, id);
-  EXPECT_EQ(shard_a.epoch(), matcher.epoch());
-  EXPECT_EQ(shard_a.size(), 1u);  // cleared, then one fresh entry
+  const std::uint64_t hits = shard_a.hits();
+  const auto again = matcher.MatchOrFallback(code, detail, &shard_a, &scratch);
+  EXPECT_EQ(shard_a.hits(), hits + 1);
+  EXPECT_EQ(again, set.Match(code, detail).value());
 }
 
 // The TSan seam: concurrent lock-free hits while other threads force

@@ -31,7 +31,6 @@
 
 #include "common/rng.h"
 #include "core/learn.h"
-#include "core/location/extractor.h"
 #include "loadgen/loadgen.h"
 #include "net/config_parser.h"
 #include "pipeline/stages.h"
@@ -351,7 +350,6 @@ double EdgesPerMessage(core::KnowledgeBase* kb,
   std::atomic<std::uint64_t> cursor{0};
   loadgen::Stream stream(opts, &cursor, kMessages);
   core::RouterResolver resolver(&dict);
-  const core::LocationExtractor extractor(&dict);
   RuleStage stage(&kb->rules, kb->rule_params.window_ms, &dict);
   std::vector<MergeEdge> edges;
   std::vector<std::uint64_t> keys;
@@ -364,7 +362,7 @@ double EdgesPerMessage(core::KnowledgeBase* kb,
       if (!rec.has_value()) continue;
       const auto [key, known] = resolver.Resolve(rec->router);
       core::Augmented msg =
-          core::AugmentWithRouting(*rec, seq, key, known, extractor, dict);
+          core::AugmentWithRouting(*rec, seq, key, known, dict);
       msg.tmpl = kb->templates.MatchOrFallback(rec->code, rec->detail);
       edges.clear();
       keys.clear();

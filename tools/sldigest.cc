@@ -38,7 +38,6 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -287,7 +286,7 @@ int CmdStream(Flags& flags) {
   const auto eng = engine::Engine::Load(configs, kb_path, opts, &error);
   if (eng == nullptr) {
     std::fprintf(stderr, "%s\n", error.c_str());
-    return 2;
+    return 1;
   }
   bool ok = true;
   const auto records =
@@ -496,10 +495,13 @@ int CmdEvents(Flags& flags) {
 int CmdInspect(Flags& flags) {
   const std::string kb_path = flags.Require("kb");
   if (!flags.ok()) return 2;
-  std::ifstream kb_in(kb_path);
-  std::stringstream kb_text;
-  kb_text << kb_in.rdbuf();
-  core::KnowledgeBase kb = core::KnowledgeBase::Deserialize(kb_text.str());
+  std::string error;
+  const auto loaded = engine::LoadKnowledgeBase(kb_path, &error);
+  if (loaded == nullptr) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
+  }
+  const core::KnowledgeBase& kb = *loaded;
   std::printf("knowledge base: %zu templates, %zu rules, %llu historical "
               "messages\n",
               kb.templates.size(), kb.rules.size(),
