@@ -8,8 +8,10 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace sld::ckpt {
 
@@ -54,6 +56,12 @@ class Writer {
   void Str(std::string_view s) {
     U64(s.size());
     buf_.append(s.data(), s.size());
+  }
+
+  // A count, then the values: location lists, template and router ids.
+  void U32List(std::span<const std::uint32_t> values) {
+    U64(values.size());
+    for (const std::uint32_t v : values) U32(v);
   }
 
   const std::string& data() const noexcept { return buf_; }
@@ -112,6 +120,12 @@ class Reader {
     std::string out(data_.substr(pos_, n));
     pos_ += n;
     return out;
+  }
+
+  std::vector<std::uint32_t> U32List() {
+    std::vector<std::uint32_t> values(Count(4));
+    for (std::uint32_t& v : values) v = U32();
+    return values;
   }
 
   bool ok() const noexcept { return ok_; }

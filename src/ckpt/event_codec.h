@@ -18,10 +18,8 @@ inline void WriteEvent(const core::DigestEvent& ev, Writer* w) {
   w->F64(ev.score);
   w->Str(ev.label);
   w->Str(ev.location_text);
-  w->U64(ev.templates.size());
-  for (const core::TemplateId t : ev.templates) w->U32(t);
-  w->U64(ev.router_keys.size());
-  for (const std::uint32_t r : ev.router_keys) w->U32(r);
+  w->U32List(ev.templates);
+  w->U32List(ev.router_keys);
 }
 
 inline bool ReadEvent(Reader* r, core::DigestEvent* ev) {
@@ -32,10 +30,8 @@ inline bool ReadEvent(Reader* r, core::DigestEvent* ev) {
   ev->score = r->F64();
   ev->label = r->Str();
   ev->location_text = r->Str();
-  ev->templates.resize(r->Count(4));
-  for (core::TemplateId& t : ev->templates) t = r->U32();
-  ev->router_keys.resize(r->Count(4));
-  for (std::uint32_t& k : ev->router_keys) k = r->U32();
+  ev->templates = r->U32List();
+  ev->router_keys = r->U32List();
   return r->ok();
 }
 

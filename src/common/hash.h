@@ -1,11 +1,9 @@
 // Small non-cryptographic hashing helpers.
 //
-// Both hashes are allocation-free, which is what the zero-allocation match
-// hot path needs.  Fnv1a64 is the simple byte-serial reference (and
-// constexpr); HashBytes is the word-chunked variant the match memo cache
-// uses to key (code, detail) pairs, since hashing the full detail is the
-// single largest cost of a memo hit.  StringHash is the transparent hasher
-// for string-keyed hash maps.
+// HashBytes is allocation-free, which is what the zero-allocation match
+// hot path needs: the match memo cache keys (code, detail) pairs with it,
+// since hashing the full detail is the single largest cost of a memo hit.
+// StringHash is the transparent hasher for string-keyed hash maps.
 #pragma once
 
 #include <cstdint>
@@ -25,25 +23,14 @@ struct StringHash {
   }
 };
 
+// HashBytes' default seed: the FNV-1a 64-bit offset basis.
 inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ull;
-inline constexpr std::uint64_t kFnv1aPrime = 0x100000001b3ull;
-
-// 64-bit FNV-1a over `bytes`, chainable through `seed`.
-constexpr std::uint64_t Fnv1a64(std::string_view bytes,
-                                std::uint64_t seed = kFnv1aOffset) noexcept {
-  std::uint64_t h = seed;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnv1aPrime;
-  }
-  return h;
-}
 
 // Multiplier of the word-chunked hash.
 inline constexpr std::uint64_t kHashMul = 0x9e3779b97f4a7c15ull;
 
-// Word-chunked multiply-xorshift hash, chainable through `seed`.  FNV's
-// byte-serial dependency chain costs ~1 cycle/byte; syslog details run
+// Word-chunked multiply-xorshift hash, chainable through `seed`.  A
+// byte-serial hash such as FNV-1a costs ~1 cycle/byte; syslog details run
 // 40-80 bytes, so the per-message memo key eats 8 bytes per step instead.
 // The length is folded into the seed, so concatenation ambiguity
 // ("ab"+"c" vs "a"+"bc") cannot collide across chained calls.

@@ -1,6 +1,19 @@
 #include "core/augment.h"
 
+#include "ckpt/codec.h"
+
 namespace sld::core {
+
+void RouterResolver::SaveState(ckpt::Writer* w) const {
+  w->U64(names_.size());
+  for (std::uint32_t id = 0; id < names_.size(); ++id) w->Str(names_.Get(id));
+}
+
+bool RouterResolver::LoadState(ckpt::Reader* r) {
+  const std::uint64_t n = r->Count(8);
+  for (std::uint64_t i = 0; i < n && r->ok(); ++i) Resolve(r->Str());
+  return r->ok();
+}
 
 Augmented AugmentWithRouting(const syslog::SyslogRecord& rec,
                              std::size_t raw_index, std::uint32_t router_key,

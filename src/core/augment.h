@@ -14,6 +14,11 @@
 #include "core/templates/template.h"
 #include "syslog/record.h"
 
+namespace sld::ckpt {
+class Writer;
+class Reader;
+}  // namespace sld::ckpt
+
 namespace sld::core {
 
 struct Augmented {
@@ -29,8 +34,7 @@ struct Augmented {
   // when the router is known.  Later elements come from the detail text.
   std::vector<LocationId> locs;
   // The most specific detail-text location, or the router-level location
-  // when the text names none (used for temporal keys and scoring).
-  // kNoId when the router is unknown.
+  // when the text names none.  kNoId when the router is unknown.
   LocationId primary = kNoId;
 
   bool HasDetailLocation() const noexcept { return locs.size() > 1; }
@@ -72,13 +76,11 @@ class RouterResolver {
   }
 
   // Checkpointing (DESIGN.md §14): the interned names in first-sight
-  // order.  Restoring means re-Resolve()ing each name in that order,
-  // which recomputes the identical dense keys — the snapshot never has
-  // to store them.
-  std::size_t interned_count() const noexcept { return names_.size(); }
-  std::string_view interned_name(std::uint32_t id) const {
-    return names_.Get(id);
-  }
+  // order.  LoadState re-Resolve()s each name in that order, which
+  // recomputes the identical dense keys, so the snapshot never stores
+  // them.
+  void SaveState(ckpt::Writer* w) const;
+  bool LoadState(ckpt::Reader* r);
 
  private:
   const LocationDict* dict_;

@@ -10,7 +10,7 @@
 namespace sld::core {
 
 std::string KnowledgeBase::Serialize() const {
-  std::string out = "KB v1\n";
+  std::string out(kHeader);
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "P %.10g %.10g %lld %lld %lld %.10g %.10g %llu\n",

@@ -45,7 +45,9 @@ class KnowledgeBase {
   }
 
   // Text round-trip.  Requires the same configs (and hence router keys)
-  // when the knowledge base is reloaded.
+  // when the knowledge base is reloaded.  Serialize's text starts with
+  // the line kHeader.
+  static constexpr std::string_view kHeader = "KB v1\n";
   std::string Serialize() const;
   static KnowledgeBase Deserialize(std::string_view text);
 };

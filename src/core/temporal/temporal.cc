@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
+
+#include "ckpt/codec.h"
 
 namespace sld::core {
 
@@ -17,10 +20,9 @@ std::size_t TemporalGrouper::Feed(const Augmented& msg,
                                   std::optional<std::size_t>* prev) {
   // Keyed on (template, router): "temporal grouping targets messages with
   // the same template on the same router" (§3.2).
-  const Key key{(static_cast<std::uint64_t>(msg.tmpl) << 32) |
-                    msg.router_key,
-                0};
-  auto [it, inserted] = states_.emplace(key, KeyState{});
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(msg.tmpl) << 32) | msg.router_key;
+  auto [it, inserted] = states_.try_emplace(key);
   KeyState& st = it->second;
   if (inserted) {
     st.last_time = msg.time;
@@ -46,6 +48,46 @@ std::size_t TemporalGrouper::Feed(const Augmented& msg,
   }
   st.tail = msg.raw_index;
   return st.group;
+}
+
+void TemporalGrouper::SaveChains(
+    std::span<const TemporalGrouper* const> groupers, ckpt::Writer* w) {
+  // A router's chains live on one grouper, so keys never repeat.
+  std::vector<std::pair<std::uint64_t, const KeyState*>> chains;
+  for (const TemporalGrouper* grouper : groupers) {
+    for (const auto& [key, st] : grouper->states_) {
+      chains.emplace_back(key, &st);
+    }
+  }
+  std::sort(chains.begin(), chains.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  w->U64(chains.size());
+  for (const auto& [key, st] : chains) {
+    w->U64(key);
+    w->U32(0);  // reserved, always 0
+    w->I64(st->last_time);
+    w->F64(st->shat);
+    w->U64(st->tail);
+  }
+}
+
+bool TemporalGrouper::LoadChains(
+    ckpt::Reader* r,
+    const std::function<TemporalGrouper*(std::uint32_t)>& owner) {
+  const std::uint64_t n = r->Count(8 + 4 + 8 + 8 + 8);
+  for (std::uint64_t i = 0; i < n && r->ok(); ++i) {
+    const std::uint64_t key = r->U64();
+    const std::uint32_t reserved = r->U32();
+    KeyState st;
+    st.last_time = r->I64();
+    st.shat = r->F64();
+    st.tail = r->U64();
+    if (!r->ok() || reserved != 0) return false;
+    TemporalGrouper* grouper = owner(static_cast<std::uint32_t>(key));
+    st.group = grouper->next_group_++;
+    grouper->states_[key] = st;
+  }
+  return r->ok();
 }
 
 TemporalPriors MineTemporalPriors(std::span<const Augmented> history,
@@ -84,20 +126,6 @@ std::size_t CountTemporalGroups(std::span<const Augmented> history,
   TemporalGrouper grouper(params, &priors);
   for (const Augmented& msg : history) grouper.Feed(msg);
   return grouper.group_count();
-}
-
-std::size_t CountFixedGapGroups(std::span<const Augmented> history,
-                                TimeMs gap_ms) {
-  std::unordered_map<std::uint64_t, TimeMs> last;
-  std::size_t groups = 0;
-  for (const Augmented& msg : history) {
-    const std::uint64_t key = (static_cast<std::uint64_t>(msg.tmpl) << 32) |
-                              msg.router_key;
-    const auto [it, inserted] = last.try_emplace(key, msg.time);
-    if (inserted || msg.time - it->second > gap_ms) ++groups;
-    it->second = msg.time;
-  }
-  return groups;
 }
 
 TemporalParams SelectTemporalParams(std::span<const Augmented> history,

@@ -1,6 +1,6 @@
 // Temporal pattern mining and temporal grouping (§4.1.3, §4.2.1).
 //
-// Messages with the same template at the same location often recur
+// Messages with the same template on the same router often recur
 // periodically (timers, unstable hardware).  The interarrival time is
 // tracked with an exponentially weighted moving average
 //     Ŝ_t = α · S_{t-1} + (1 − α) · Ŝ_{t-1}
@@ -11,13 +11,16 @@
 //
 // The offline miner learns (a) per-template interarrival priors used to
 // seed Ŝ for fresh groups and (b) the α/β that optimize the compression
-// ratio on historical data (the sweeps of Figs. 10-11).
+// ratio on historical data (the sweeps of Figs. 10-11).  Online, every
+// pipeline shard holds one TemporalGrouper as its temporal pass: a chain
+// lives on the shard of its router, and the shard turns the tail each
+// Feed reports into a merge edge.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <vector>
 
 #include "core/augment.h"
 
@@ -37,7 +40,7 @@ inline constexpr double kDefaultPriorMs = 60.0 * 1000.0;
 
 // Streaming temporal grouper.  Feed messages in time order; each call
 // returns the group id the message belongs to.  Group ids are globally
-// unique within one grouper instance.
+// unique within one grouper instance.  One chain per (template, router).
 class TemporalGrouper {
  public:
   TemporalGrouper(TemporalParams params, const TemporalPriors* priors)
@@ -52,57 +55,31 @@ class TemporalGrouper {
 
   std::size_t group_count() const noexcept { return next_group_; }
 
-  // Checkpointing (DESIGN.md §14): one live (template, router) chain.
-  // On import each chain gets a freshly allocated group id, so snapshots
-  // are portable across instances (and shard counts) — only chain
-  // identity matters.
-  struct ChainState {
-    std::uint64_t key_a = 0;
-    std::uint32_t key_b = 0;
-    TimeMs last_time = 0;
-    double shat = 0.0;
-    std::size_t tail = 0;  // sequence number of the chain's latest message
-  };
-  void ExportChains(std::vector<ChainState>* out) const {
-    out->reserve(out->size() + states_.size());
-    for (const auto& [key, st] : states_) {
-      out->push_back({key.a, key.b, st.last_time, st.shat, st.tail});
-    }
-  }
-  void ImportChain(const ChainState& chain) {
-    KeyState st;
-    st.last_time = chain.last_time;
-    st.shat = chain.shat;
-    st.group = next_group_++;
-    st.tail = chain.tail;
-    states_[Key{chain.key_a, chain.key_b}] = st;
-  }
+  // Checkpointing (DESIGN.md §14): the live chains of every grouper in
+  // `groupers` (one per shard), merged in key order, so the section does
+  // not depend on the shard count.  LoadChains hands each chain to
+  // `owner(router_key)`, where it gets a freshly allocated group id:
+  // only chain identity matters.
+  static void SaveChains(std::span<const TemporalGrouper* const> groupers,
+                         ckpt::Writer* w);
+  static bool LoadChains(
+      ckpt::Reader* r,
+      const std::function<TemporalGrouper*(std::uint32_t)>& owner);
 
  private:
   struct KeyState {
     TimeMs last_time = 0;
     double shat = 0.0;
     std::size_t group = 0;
-    std::size_t tail = 0;
+    std::size_t tail = 0;  // sequence number of the chain's latest message
   };
 
   double PriorFor(TemplateId tmpl) const;
 
   TemporalParams params_;
   const TemporalPriors* priors_;
-  // Key: (template, primary location, router) packed into a string-free
-  // 96-bit key.
-  struct Key {
-    std::uint64_t a;
-    std::uint32_t b;
-    friend bool operator==(const Key&, const Key&) = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      return std::hash<std::uint64_t>{}(k.a * 1000003u + k.b);
-    }
-  };
-  std::unordered_map<Key, KeyState, KeyHash> states_;
+  // Keyed on (template << 32 | router key).
+  std::unordered_map<std::uint64_t, KeyState> states_;
   std::size_t next_group_ = 0;
 };
 
@@ -124,12 +101,5 @@ TemporalParams SelectTemporalParams(std::span<const Augmented> history,
                                     const TemporalPriors& priors,
                                     std::span<const double> alpha_grid,
                                     std::span<const double> beta_grid);
-
-// Ablation baseline: grouping with a FIXED gap threshold (same group iff
-// the interarrival is <= `gap_ms`) instead of the adaptive EWMA.  Used by
-// bench_ablation_fixed_gap to show why the paper predicts per-template
-// periods rather than picking one global cutoff.
-std::size_t CountFixedGapGroups(std::span<const Augmented> history,
-                                TimeMs gap_ms);
 
 }  // namespace sld::core

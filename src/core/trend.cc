@@ -40,30 +40,6 @@ std::vector<DailySeries> TemplateDailyCounts(
   return out;
 }
 
-std::vector<DailySeries> EventDailyCounts(const DigestResult& result,
-                                          TimeMs epoch_ms, int num_days) {
-  std::map<std::string, std::vector<double>> counts;
-  for (const DigestEvent& ev : result.events) {
-    const TimeMs offset = ev.start - epoch_ms;
-    if (offset < 0) continue;
-    const int day = static_cast<int>(offset / kMsPerDay);
-    if (day >= num_days) continue;
-    auto& series = counts[ev.label];
-    if (series.empty()) series.assign(static_cast<std::size_t>(num_days), 0);
-    series[static_cast<std::size_t>(day)] += 1;
-  }
-  std::vector<DailySeries> out;
-  out.reserve(counts.size());
-  for (auto& [label, values] : counts) {
-    DailySeries series;
-    series.name = label;
-    series.epoch_ms = epoch_ms;
-    series.counts = std::move(values);
-    out.push_back(std::move(series));
-  }
-  return out;
-}
-
 std::vector<LevelShift> DetectLevelShifts(
     std::span<const DailySeries> series, const LevelShiftParams& params) {
   std::vector<LevelShift> shifts;

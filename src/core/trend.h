@@ -3,10 +3,10 @@
 //
 // The paper argues trend systems that track raw per-message frequencies
 // would be "much more meaningful" with the relationships SyslogDigest
-// learns.  This module provides both series — per-template daily message
-// counts and per-label daily EVENT counts — plus a simple level-shift
-// detector (compare the mean of a trailing window against the mean of the
-// preceding window; flag sustained relative changes).
+// learns.  This module provides per-template daily message counts plus a
+// simple level-shift detector (compare the mean of a trailing window
+// against the mean of the preceding window; flag sustained relative
+// changes).
 #pragma once
 
 #include <map>
@@ -31,10 +31,6 @@ struct DailySeries {
 std::vector<DailySeries> TemplateDailyCounts(
     std::span<const Augmented> stream, const TemplateSet& templates,
     TimeMs epoch_ms, int num_days);
-
-// Per-label daily event counts from a digest (events bucketed by start).
-std::vector<DailySeries> EventDailyCounts(const DigestResult& result,
-                                          TimeMs epoch_ms, int num_days);
 
 struct LevelShiftParams {
   int window_days = 7;        // window on each side of the candidate day

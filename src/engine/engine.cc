@@ -56,6 +56,12 @@ std::unique_ptr<core::KnowledgeBase> LoadKnowledgeBase(
     if (error != nullptr) *error = "cannot read " + path;
     return nullptr;
   }
+  if (!text.starts_with(core::KnowledgeBase::kHeader)) {
+    if (error != nullptr) {
+      *error = "cannot read " + path + ": not a knowledge base";
+    }
+    return nullptr;
+  }
   return std::make_unique<core::KnowledgeBase>(
       core::KnowledgeBase::Deserialize(text));
 }

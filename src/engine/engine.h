@@ -78,7 +78,8 @@ std::vector<net::ParsedConfig> LoadConfigDir(const std::string& dir,
 
 // Reads and deserializes the knowledge base at `path`.  A missing,
 // unreadable or empty file returns null and fills `error` with
-// "cannot read PATH".
+// "cannot read PATH"; text that does not start with the KB header line
+// fills "cannot read PATH: not a knowledge base".
 std::unique_ptr<core::KnowledgeBase> LoadKnowledgeBase(
     const std::string& path, std::string* error = nullptr);
 

@@ -122,13 +122,9 @@ void EngineHost::PumpAll() {
                     [&](std::size_t i) { engines_[i]->Pump(); });
 }
 
-void EngineHost::FinishAll(
-    std::vector<std::vector<core::DigestEvent>>* leftovers) {
-  std::vector<std::vector<core::DigestEvent>> remaining(engines_.size());
-  pool_.ParallelFor(engines_.size(), [&](std::size_t i) {
-    remaining[i] = engines_[i]->Finish();
-  });
-  if (leftovers != nullptr) *leftovers = std::move(remaining);
+void EngineHost::FinishAll() {
+  pool_.ParallelFor(engines_.size(),
+                    [&](std::size_t i) { engines_[i]->Finish(); });
 }
 
 bool EngineHost::BindAll(const wirefront::WireOptions& wire,

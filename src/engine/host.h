@@ -82,9 +82,8 @@ class EngineHost {
 
   // Finishes every engine in parallel (collector flush + group close +
   // pipeline join).  Engines with a sink have delivered everything by
-  // return; sink-less remainders land in `leftovers[i]`.
-  void FinishAll(std::vector<std::vector<core::DigestEvent>>* leftovers =
-                     nullptr);
+  // return; a sink-less engine's remaining events are dropped.
+  void FinishAll();
 
   // Opens the wire front: one socket per tenant at each spec's port
   // (0 = ephemeral; read back with port_of), with its wire_* metrics in

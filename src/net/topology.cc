@@ -94,10 +94,6 @@ std::string LogicalName(Vendor vendor, const std::string& phys_name, int slot,
 
 }  // namespace
 
-std::string_view VendorName(Vendor v) noexcept {
-  return v == Vendor::kV1 ? "V1" : "V2";
-}
-
 PhysIfId Topology::LinkEnd(LinkId link, RouterId router) const {
   const Link& l = links.at(link);
   if (l.router_a == router) return l.phys_a;

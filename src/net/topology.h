@@ -23,8 +23,6 @@ namespace sld::net {
 // TiMOS-like (the paper's "SNMP-WARNING-linkDown" flavoured examples).
 enum class Vendor : std::uint8_t { kV1, kV2 };
 
-std::string_view VendorName(Vendor v) noexcept;
-
 using RouterId = std::uint32_t;
 using PhysIfId = std::uint32_t;
 using LogicalIfId = std::uint32_t;

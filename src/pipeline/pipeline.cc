@@ -4,11 +4,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "ckpt/codec.h"
 #include "common/bounded_queue.h"
-#include "pipeline/state_io.h"
 
 namespace sld::pipeline {
 namespace {
@@ -170,7 +172,11 @@ void ShardedPipeline::ShardStep(Shard& shard,
       rec.code, rec.detail, &shard.match_cache, &shard.match_scratch);
   out->edges.clear();
   out->fired_rules.clear();
-  shard.temporal.Feed(out->msg, &out->edges);
+  // The chain's previous tail may already have closed under a short idle
+  // horizon; the tracker skips edges to closed messages.
+  std::optional<std::size_t> chain_tail;
+  shard.temporal.Feed(out->msg, &chain_tail);
+  if (chain_tail) out->edges.push_back({*chain_tail, out->msg.raw_index});
   if (options_.digest.use_rules) {
     shard.rules.Feed(out->msg, &out->edges, &out->fired_rules);
   }
@@ -311,36 +317,33 @@ void ShardedPipeline::Quiesce() {
 
 void ShardedPipeline::SaveState(ckpt::Writer* w) {
   Quiesce();
+  std::vector<const core::TemporalGrouper*> temporal;
+  std::vector<const RuleStage*> rules;
+  for (const auto& shard : shards_) {
+    temporal.push_back(&shard->temporal);
+    rules.push_back(&shard->rules);
+  }
   w->U64(seq_);
-  SaveResolverState(resolver_, w);
-  std::vector<TemporalStage::ChainState> chains;
-  for (const auto& shard : shards_) shard->temporal.ExportState(&chains);
-  SaveTemporalChains(std::move(chains), w);
-  std::vector<RuleStage::WindowSnapshot> windows;
-  for (const auto& shard : shards_) shard->rules.ExportState(&windows);
-  SaveRuleWindows(std::move(windows), w);
-  std::vector<CrossRouterStage::EntrySnapshot> cross_entries;
-  cross_.ExportState(&cross_entries);
-  SaveCrossEntries(cross_entries, w);
+  resolver_.SaveState(w);
+  core::TemporalGrouper::SaveChains(temporal, w);
+  RuleStage::SaveWindows(rules, w);
+  cross_.SaveState(w);
   tracker_.SaveState(w);
 }
 
 bool ShardedPipeline::LoadState(ckpt::Reader* r) {
+  // A router's state goes to the shard Push deals its records to.
+  const auto owner = [this](std::uint32_t router_key) -> Shard& {
+    return *shards_[router_key % shards_.size()];
+  };
   seq_ = r->U64();
-  bool ok = LoadResolverState(&resolver_, r);
-  ok = ok &&
-       LoadTemporalChains(r, [this](const TemporalStage::ChainState& c) {
-         const auto router = static_cast<std::uint32_t>(c.key_a & 0xFFFFFFFFu);
-         shards_[router % shards_.size()]->temporal.ImportChain(c);
-       });
-  ok = ok && LoadRuleWindows(r, [this](const RuleStage::WindowSnapshot& win) {
-         shards_[win.router_key % shards_.size()]->rules.ImportWindow(win);
-       });
-  ok = ok &&
-       LoadCrossEntries(r, [this](const CrossRouterStage::EntrySnapshot& e) {
-         cross_.ImportEntry(e);
-       });
-  ok = ok && tracker_.LoadState(r);
+  const bool ok =
+      resolver_.LoadState(r) &&
+      core::TemporalGrouper::LoadChains(
+          r, [&](std::uint32_t key) { return &owner(key).temporal; }) &&
+      RuleStage::LoadWindows(
+          r, [&](std::uint32_t key) { return &owner(key).rules; }) &&
+      cross_.LoadState(r) && tracker_.LoadState(r);
   if (threads_ != nullptr) {
     // The restored records were already replayed in the previous life;
     // without this, the first Quiesce() would wait for seq_ forever.

@@ -3,8 +3,8 @@
 //
 // Every record takes the same two steps.  The shard step augments it
 // (location extraction plus a memoized signature match through the
-// shared ConcurrentTemplateMatcher) and runs the per-router stages
-// (TemporalStage + RuleStage), emitting merge edges.  The merge step, in
+// shared ConcurrentTemplateMatcher) and runs the per-router passes
+// (core::TemporalGrouper + RuleStage), emitting merge edges.  The merge step, in
 // global arrival order, advances the GroupTracker's stream clock (closing
 // idle groups into events), admits the message, applies its edges to the
 // one union-find, runs the only globally-coupled pass (CrossRouterStage),
@@ -28,6 +28,10 @@
 // bit-identical at every shard count (tests/core/pipeline_threads_test.cc;
 // tests/engine/golden_test.cc pins the stream itself).  The batch
 // core::Digester is this pipeline with unbounded horizons.
+//
+// SaveState/LoadState only order the checkpoint sections and map
+// routers to shards; each stage reads and writes its own section
+// (tests/pipeline/golden_stage_state.bin pins the bytes).
 #pragma once
 
 #include <cstdint>
@@ -39,6 +43,7 @@
 
 #include "core/digest.h"
 #include "core/location/location.h"
+#include "core/temporal/temporal.h"
 #include "obs/registry.h"
 #include "pipeline/matcher.h"
 #include "pipeline/stages.h"
@@ -114,10 +119,12 @@ class ShardedPipeline {
   void Quiesce();
 
   // Checkpointing (DESIGN.md §14).  SaveState quiesces, then writes the
-  // canonical stage-graph state (state_io.h): snapshots are portable
-  // across shard counts.  LoadState must run before the first Push on a
-  // fresh pipeline; it re-partitions per-router state by router_key
-  // modulo this pipeline's shard count.
+  // record count and each stage's section: the resolver, the temporal
+  // chains, the rule windows, the cross-router window and the tracker.
+  // Every section is canonical, so snapshots are portable across shard
+  // counts.  LoadState must run before the first Push on a fresh
+  // pipeline; it re-partitions per-router state by router_key modulo
+  // this pipeline's shard count.
   void SaveState(ckpt::Writer* w);
   bool LoadState(ckpt::Reader* r);
 
@@ -149,7 +156,7 @@ class ShardedPipeline {
     // Adds `messages` and the memo counters' growth since the last call.
     void Publish(std::size_t messages);
 
-    TemporalStage temporal;
+    core::TemporalGrouper temporal;
     RuleStage rules;
     // The memo cache and token scratch make the steady-state signature
     // match lock- and allocation-free.

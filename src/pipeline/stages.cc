@@ -1,17 +1,12 @@
 #include "pipeline/stages.h"
 
 #include <algorithm>
+#include <utility>
 
+#include "ckpt/codec.h"
 #include "pipeline/tracker.h"
 
 namespace sld::pipeline {
-
-void TemporalStage::Feed(const core::Augmented& msg,
-                         std::vector<MergeEdge>* out) {
-  std::optional<std::size_t> prev;
-  grouper_.Feed(msg, &prev);
-  if (prev) out->push_back({*prev, msg.raw_index});
-}
 
 RuleStage::Scope RuleStage::ScopeOf(
     const std::vector<core::LocationId>& locs) const {
@@ -107,26 +102,77 @@ void RuleStage::Evict(Window& window, TimeMs now) {
   }
 }
 
-void RuleStage::ExportState(std::vector<WindowSnapshot>* out) const {
-  for (const auto& [router_key, window] : windows_) {
-    if (window.entries.empty()) continue;  // fully evicted: no state
-    WindowSnapshot snap;
-    snap.router_key = router_key;
-    snap.entries.reserve(window.entries.size());
-    for (const Entry& e : window.entries) {
-      snap.entries.push_back({e.seq, e.time, e.tmpl, e.locs});
+void RuleStage::SaveWindows(std::span<const RuleStage* const> stages,
+                            ckpt::Writer* w) {
+  // A router's window lives on one stage, so keys never repeat.
+  std::vector<std::pair<std::uint32_t, const Window*>> windows;
+  for (const RuleStage* stage : stages) {
+    for (const auto& [router_key, window] : stage->windows_) {
+      // A fully evicted window holds no state.
+      if (!window.entries.empty()) windows.emplace_back(router_key, &window);
     }
-    out->push_back(std::move(snap));
+  }
+  std::sort(windows.begin(), windows.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  w->U64(windows.size());
+  for (const auto& [router_key, window] : windows) {
+    w->U32(router_key);
+    w->U64(window->entries.size());
+    for (const Entry& e : window->entries) {
+      w->U64(e.seq);
+      w->I64(e.time);
+      w->U32(e.tmpl);
+      w->U32List(e.locs);
+    }
   }
 }
 
-void RuleStage::ImportWindow(const WindowSnapshot& snap) {
-  Window& window = windows_[snap.router_key];
-  for (const EntrySnapshot& e : snap.entries) {
-    Append(window, {static_cast<std::size_t>(e.seq), e.time, e.tmpl,
-                    ScopeOf(e.locs), e.locs});
-    live_seq_ = std::max(live_seq_, static_cast<std::size_t>(e.seq) + 1);
+bool RuleStage::LoadWindows(
+    ckpt::Reader* r, const std::function<RuleStage*(std::uint32_t)>& owner) {
+  const std::uint64_t n = r->Count(4 + 8);
+  for (std::uint64_t i = 0; i < n && r->ok(); ++i) {
+    const std::uint32_t router_key = r->U32();
+    const std::uint64_t entries = r->Count(8 + 8 + 4 + 8);
+    if (!r->ok()) break;
+    RuleStage* stage = owner(router_key);
+    Window& window = stage->windows_[router_key];
+    for (std::uint64_t j = 0; j < entries; ++j) {
+      const auto seq = static_cast<std::size_t>(r->U64());
+      const TimeMs time = r->I64();
+      const core::TemplateId tmpl = r->U32();
+      std::vector<core::LocationId> locs = r->U32List();
+      if (!r->ok()) break;
+      const Scope scope = stage->ScopeOf(locs);
+      stage->Append(window, {seq, time, tmpl, scope, std::move(locs)});
+      stage->live_seq_ = std::max(stage->live_seq_, seq + 1);
+    }
   }
+  return r->ok();
+}
+
+void CrossRouterStage::SaveState(ckpt::Writer* w) const {
+  w->U64(window_.size());
+  for (const Entry& e : window_) {
+    w->U64(e.seq);
+    w->I64(e.time);
+    w->U32(e.tmpl);
+    w->U32(e.router_key);
+    w->U32List(e.locs);
+  }
+}
+
+bool CrossRouterStage::LoadState(ckpt::Reader* r) {
+  const std::uint64_t n = r->Count(8 + 8 + 4 + 4 + 8);
+  for (std::uint64_t i = 0; i < n && r->ok(); ++i) {
+    Entry e;
+    e.seq = static_cast<std::size_t>(r->U64());
+    e.time = r->I64();
+    e.tmpl = r->U32();
+    e.router_key = r->U32();
+    e.locs = r->U32List();
+    if (r->ok()) window_.push_back(std::move(e));
+  }
+  return r->ok();
 }
 
 }  // namespace sld::pipeline

@@ -10,29 +10,36 @@
 // digesters relied on, now load-bearing for sharding:
 //
 //   decode/collect -> signature match + augment -> per-router shard
-//     (TemporalStage + RuleStage: only touch per-router state)
+//     (core::TemporalGrouper + RuleStage: only touch per-router state)
 //   -> sequenced merge (CrossRouterStage + GroupTracker: the only
 //      globally-coupled pass, §4.2.3's 1-second window)
 //   -> prioritize / present.
 //
-// TemporalStage and RuleStage key every piece of state by (template,
-// location, router) or by router alone, so a shard that owns a subset of
-// routers and sees its messages in global timestamp order produces exactly
-// the edges the single-threaded digester would.  CrossRouterStage compares
-// messages across routers and therefore runs on the one sequenced merge
-// thread.  Stages keep their own bounded copies of the window fields they
-// need, so they never point into the tracker's arena, whose slots are
-// reused once their group closes.
+// The temporal pass (§4.2.1) is core::TemporalGrouper itself, keyed by
+// (template, router); RuleStage keys its windows by router.  So a shard
+// that owns a subset of routers and sees its messages in global
+// timestamp order produces exactly the edges the single-threaded
+// digester would.  CrossRouterStage compares messages across routers and
+// therefore runs on the one sequenced merge thread.  Stages keep their
+// own bounded copies of the window fields they need, so they never point
+// into the tracker's arena, whose slots are reused once their group
+// closes.
+//
+// Each stage reads and writes its own checkpoint section (DESIGN.md
+// §14).  The per-router passes save every shard's state in one section,
+// merged in key order, and load each router's state into the shard that
+// owns it, so a snapshot restores at any shard count.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "core/augment.h"
 #include "core/rules/rules.h"
-#include "core/temporal/temporal.h"
 
 namespace sld::pipeline {
 
@@ -41,33 +48,6 @@ namespace sld::pipeline {
 struct MergeEdge {
   std::size_t a = 0;
   std::size_t b = 0;
-};
-
-// Pass 1 (§4.2.1): same template at the same location recurring at its
-// learned period joins the previous message of the chain.  Per-router
-// state only (the temporal key includes the router), so shardable.
-class TemporalStage {
- public:
-  TemporalStage(core::TemporalParams params,
-                const core::TemporalPriors* priors)
-      : grouper_(params, priors) {}
-
-  // Appends the chain edge (previous tail, msg) when `msg` continues an
-  // existing temporal chain.  The tail may already have been emitted by
-  // the tracker under a short idle horizon; the edge applier skips those.
-  void Feed(const core::Augmented& msg, std::vector<MergeEdge>* out);
-
-  // Checkpointing (DESIGN.md §14): every live chain with the sequence
-  // number of its latest message.  Exports are unordered; the caller
-  // sorts by key for a canonical, shard-count-independent layout.
-  using ChainState = core::TemporalGrouper::ChainState;
-  void ExportState(std::vector<ChainState>* out) const {
-    grouper_.ExportChains(out);
-  }
-  void ImportChain(const ChainState& chain) { grouper_.ImportChain(chain); }
-
- private:
-  core::TemporalGrouper grouper_;
 };
 
 // Pass 2 (§4.2.2): different templates on the same router related by a
@@ -94,20 +74,14 @@ class RuleStage {
   void Feed(const core::Augmented& msg, std::vector<MergeEdge>* out,
             std::vector<std::uint64_t>* fired_rules);
 
-  // Checkpointing: one router's sliding window, entries oldest-first.
-  // Joins are not saved; after a restore, a list's first visit scans it.
-  struct EntrySnapshot {
-    std::uint64_t seq = 0;
-    TimeMs time = 0;
-    core::TemplateId tmpl = 0;
-    std::vector<core::LocationId> locs;
-  };
-  struct WindowSnapshot {
-    std::uint32_t router_key = 0;
-    std::vector<EntrySnapshot> entries;
-  };
-  void ExportState(std::vector<WindowSnapshot>* out) const;
-  void ImportWindow(const WindowSnapshot& snap);
+  // Checkpointing: the windows of every stage in `stages` (one per
+  // shard) in router-key order, entries oldest-first.  LoadWindows hands
+  // each window to `owner(router_key)`.  Joins are not saved; after a
+  // restore, a list's first visit scans it.
+  static void SaveWindows(std::span<const RuleStage* const> stages,
+                          ckpt::Writer* w);
+  static bool LoadWindows(
+      ckpt::Reader* r, const std::function<RuleStage*(std::uint32_t)>& owner);
 
  private:
   // Messages of one scope always pass the spatial check against each
@@ -201,25 +175,10 @@ class CrossRouterStage {
   }
 
   // Checkpointing: the cross-router window in deque (= global time)
-  // order.  This stage lives on the one merge thread, so its snapshot is
+  // order.  This stage lives on the one merge thread, so its section is
   // already canonical.
-  struct EntrySnapshot {
-    std::uint64_t seq = 0;
-    TimeMs time = 0;
-    core::TemplateId tmpl = 0;
-    std::uint32_t router_key = 0;
-    std::vector<core::LocationId> locs;
-  };
-  void ExportState(std::vector<EntrySnapshot>* out) const {
-    out->reserve(out->size() + window_.size());
-    for (const Entry& e : window_) {
-      out->push_back({e.seq, e.time, e.tmpl, e.router_key, e.locs});
-    }
-  }
-  void ImportEntry(const EntrySnapshot& snap) {
-    window_.push_back({static_cast<std::size_t>(snap.seq), snap.time,
-                       snap.tmpl, snap.router_key, snap.locs});
-  }
+  void SaveState(ckpt::Writer* w) const;
+  bool LoadState(ckpt::Reader* r);
 
  private:
   struct Entry {

@@ -266,8 +266,7 @@ void SaveAugmented(const core::Augmented& msg, ckpt::Writer* w) {
   w->U32(msg.tmpl);
   w->U32(msg.router_key);
   w->U8(msg.router_known ? 1 : 0);
-  w->U64(msg.locs.size());
-  for (const core::LocationId loc : msg.locs) w->U32(loc);
+  w->U32List(msg.locs);
   w->U32(msg.primary);
 }
 
@@ -278,8 +277,7 @@ core::Augmented LoadAugmented(ckpt::Reader* r) {
   msg.tmpl = r->U32();
   msg.router_key = r->U32();
   msg.router_known = r->U8() != 0;
-  msg.locs.resize(r->Count(4));
-  for (core::LocationId& loc : msg.locs) loc = r->U32();
+  msg.locs = r->U32List();
   msg.primary = r->U32();
   return msg;
 }

@@ -6,11 +6,12 @@
 // snapshot lags the log), open a fresh engine on the same checkpoint
 // dir, resend the WHOLE stream from the beginning, and the durable
 // event log ends up byte-identical to an uninterrupted run — at any
-// combination of crash-side and restore-side shard counts, because
-// snapshots are canonical over the stage graph, not over the sharding.
-// The dense instantiations replay slgen's message mix from routers absent
-// from the configs, where every rule window is a storm of location-free
-// messages.
+// combination of crash-side and restore-side shard counts, because each
+// stage writes its own section in a canonical order over all shards, not
+// over the sharding.  The dense instantiations replay slgen's message mix
+// from routers absent from the configs, where every rule window is a
+// storm of location-free messages; they restore at fewer and at more
+// shards than crashed, so those windows are dealt out again by router.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -281,7 +282,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 INSTANTIATE_TEST_SUITE_P(Dense, CkptEquivalence,
                          ::testing::Values(EquivalenceCase{1, 1, true},
-                                           EquivalenceCase{4, 1, true}));
+                                           EquivalenceCase{4, 1, true},
+                                           EquivalenceCase{1, 4, true}));
 
 std::string ReadBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

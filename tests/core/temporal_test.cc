@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
 #include <set>
+
+#include "ckpt/codec.h"
 
 namespace sld::core {
 namespace {
@@ -101,6 +104,34 @@ TEST(TemporalGrouperTest, UnknownTemplateUsesDefaultPrior) {
   // 60 s default prior, beta 5 -> gaps up to 300 s group.
   EXPECT_EQ(g.Feed(Msg(250000)), g1);
   EXPECT_NE(g.Feed(Msg(250000 + 40 * kMsPerMinute)), g1);
+}
+
+// A chain record's 32-bit field after the key is reserved: with 0 there
+// the chain loads into its router's grouper and continues from its saved
+// tail; any other value is refused.
+TEST(TemporalGrouperTest, LoadChainsRefusesReservedField) {
+  for (const std::uint32_t reserved : {0u, 1u}) {
+    ckpt::Writer w;
+    w.U64(1);                             // one chain:
+    w.U64((std::uint64_t{1} << 32) | 3);  // template 1 on router 3
+    w.U32(reserved);
+    w.I64(5000);     // last time
+    w.F64(60000.0);  // predicted interarrival
+    w.U64(42);       // tail
+    TemporalGrouper g(Params(), nullptr);
+    ckpt::Reader r(w.data());
+    const bool loaded =
+        TemporalGrouper::LoadChains(&r, [&](std::uint32_t router) {
+          EXPECT_EQ(router, 3u);
+          return &g;
+        });
+    EXPECT_EQ(loaded, reserved == 0) << reserved;
+    if (loaded) {
+      std::optional<std::size_t> prev;
+      g.Feed(Msg(6000, 1, 3), &prev);
+      EXPECT_EQ(prev, 42u);
+    }
+  }
 }
 
 TEST(MineTemporalPriorsTest, MedianOfGaps) {

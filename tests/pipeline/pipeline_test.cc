@@ -1,19 +1,26 @@
 // Unit tests for the pipeline subsystem: GroupTracker lifecycle (idle
-// close, edge-to-closed-message skip, flush) and ShardedPipeline edge
+// close, edge-to-closed-message skip, flush), ShardedPipeline edge
 // cases the equivalence test in core/pipeline_threads_test.cc does not
 // reach (unknown routers, empty stream, more shards than routers, the
-// thread-free one-shard form).
+// thread-free one-shard form), and the stage-state snapshot bytes
+// against golden_stage_state.bin.
 #include "pipeline/pipeline.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <span>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "ckpt/codec.h"
 #include "core/augment.h"
 #include "core/learn.h"
 #include "net/config_parser.h"
@@ -299,6 +306,87 @@ TEST(ShardedPipelineTest, OneShardStartsNoThreads) {
   opts.shards = 4;
   ShardedPipeline threaded(&ctx.kb, &ctx.dict, opts);
   EXPECT_EQ(ThreadCount(), before + 5);
+}
+
+const char* GoldenStatePath() {
+  return SLD_GOLDEN_DIR "/golden_stage_state.bin";
+}
+
+std::string ReadBytes(const char* path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// Byte equality that reports the first differing offset, not a dump.
+::testing::AssertionResult SameBytes(const std::string& got,
+                                     const std::string& want) {
+  const auto diff = std::mismatch(got.begin(), got.end(), want.begin(),
+                                  want.end());
+  if (diff.first == got.end() && diff.second == want.end()) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << got.size() << " bytes against " << want.size()
+         << ", first difference at offset " << (diff.first - got.begin());
+}
+
+// The stage-graph state section of a snapshot, pinned byte for byte in
+// tests/pipeline/golden_stage_state.bin.  One shard runs the first 700
+// live records, a quarter of them renamed to three routers absent from
+// the configs, under a 10-minute idle horizon, so the saved state holds
+// resolver names of both kinds, temporal chains, rule windows with and
+// without locations, the cross-router window and open groups (each
+// record leaves its chain and an entry in both windows).  The golden
+// bytes must then restore into fresh 1- and 4-shard pipelines and save
+// again unchanged, and every strict prefix of them must be refused.
+// Regenerate only for an intended change to the snapshot format:
+//   SLD_UPDATE_GOLDEN=1 build/tests/pipeline_test
+TEST(ShardedPipelineTest, StageStateMatchesGolden) {
+  Ctx& ctx = Shared();
+  PipelineOptions opts;
+  opts.idle_close_ms = 10 * kMsPerMinute;
+  // Its own KB copy: catch-all ids minted by other tests must not leak
+  // into the saved template ids.
+  core::KnowledgeBase kb = core::KnowledgeBase::Deserialize(ctx.kb.Serialize());
+  ShardedPipeline source(&kb, &ctx.dict, opts);
+  for (std::size_t i = 0; i < 700; ++i) {
+    syslog::SyslogRecord rec = ctx.live.messages[i];
+    if (i % 4 == 3) rec.router = "ghost-" + std::to_string(i % 3);
+    source.Push(rec);
+  }
+  ASSERT_GT(source.open_group_count(), 0u);
+  ckpt::Writer saved;
+  source.SaveState(&saved);
+
+  if (std::getenv("SLD_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream(GoldenStatePath(), std::ios::binary) << saved.data();
+  }
+  const std::string golden = ReadBytes(GoldenStatePath());
+  ASSERT_FALSE(golden.empty()) << "cannot read " << GoldenStatePath();
+  EXPECT_LT(golden.size(), 64u * 1024u);
+  EXPECT_TRUE(SameBytes(saved.data(), golden));
+
+  for (const std::size_t shards : {1u, 4u}) {
+    opts.shards = shards;
+    ShardedPipeline restored(&kb, &ctx.dict, opts);
+    ckpt::Reader r(golden);
+    ASSERT_TRUE(restored.LoadState(&r)) << shards << " shards";
+    EXPECT_TRUE(r.AtEnd()) << shards << " shards";
+    ckpt::Writer again;
+    restored.SaveState(&again);
+    EXPECT_TRUE(SameBytes(again.data(), golden)) << shards << " shards";
+  }
+
+  // 1,000 evenly spaced strict prefixes, from empty to one byte short.
+  opts.shards = 1;
+  for (std::size_t k = 0; k < 1000; ++k) {
+    const std::size_t len =
+        k == 999 ? golden.size() - 1 : k * golden.size() / 1000;
+    ShardedPipeline truncated(&kb, &ctx.dict, opts);
+    ckpt::Reader r(std::string_view(golden).substr(0, len));
+    EXPECT_FALSE(truncated.LoadState(&r)) << "prefix of " << len << " bytes";
+  }
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ckpt/codec.h"
 #include "common/rng.h"
 #include "core/learn.h"
 #include "loadgen/loadgen.h"
@@ -273,12 +274,13 @@ Outcome Compare(const std::vector<core::Augmented>& stream,
     if (msg.raw_index == restore_at) {
       ExpectSameEvents(indexed.tracker.Flush(), linear.tracker.Flush(),
                        "flush before restore");
-      std::vector<RuleStage::WindowSnapshot> snap;
-      indexed.window.ExportState(&snap);
+      ckpt::Writer snap;
+      const RuleStage* stages[] = {&indexed.window};
+      RuleStage::SaveWindows(stages, &snap);
       indexed.window = RuleStage(&kb.rules, kWindowMs, &w.dict);
-      for (const RuleStage::WindowSnapshot& win : snap) {
-        indexed.window.ImportWindow(win);
-      }
+      ckpt::Reader r(snap.data());
+      EXPECT_TRUE(RuleStage::LoadWindows(
+          &r, [&](std::uint32_t) { return &indexed.window; }));
     }
     std::set<std::uint64_t> fired_indexed;
     std::set<std::uint64_t> fired_linear;
