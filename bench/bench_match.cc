@@ -8,10 +8,18 @@
 // the detail tokenized twice on the fallback path.  The optimized path is
 // the real ConcurrentTemplateMatcher the pipeline shards run.
 //
+// The extract leg times LocationDict::Extract (§4.1.2) over the corpus's
+// configured-router records against a frozen copy of the token walk
+// before the name filter (every word probed the router's name table and
+// the path table; an address was recognized, then split and parsed again
+// for the prefix tables), and checks that both return the same locations
+// for every record.
+//
 //   bench_match                       # defaults: 14 learn days, ~3 passes
 //   bench_match --learn-days 2 --passes 50  # CI smoke
 //   bench_match --json=FILE           # output path (default
 //                                     # BENCH_match.json)
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -23,6 +31,9 @@
 #include <vector>
 
 #include "common.h"
+#include "common/strings.h"
+#include "core/templates/token_class.h"
+#include "net/addr.h"
 #include "obs/registry.h"
 #include "pipeline/matcher.h"
 
@@ -123,6 +134,67 @@ class LegacyTemplateSet {
   std::unordered_map<std::string, std::vector<core::TemplateId>> index_;
   std::unordered_map<std::string, core::TemplateId> by_canonical_;
 };
+
+// ---------------------------------------------------------------------------
+// LocationDict::Extract before the name filter, frozen here as the extract
+// leg's baseline.  It calls the dictionary's public lookups.
+
+std::optional<net::Ipv4> LegacyParseIpv4(std::string_view text) {
+  if (!LooksLikeIpv4(text)) return std::nullopt;
+  std::uint32_t value = 0;
+  for (const std::string_view part : SplitChar(text, '.')) {
+    value = (value << 8) | static_cast<std::uint32_t>(*ParseInt(part));
+  }
+  return net::Ipv4(value);
+}
+
+std::vector<core::LocationId> LegacyExtract(const core::LocationDict& dict,
+                                            core::DictRouterId router,
+                                            std::string_view detail) {
+  std::vector<core::LocationId> out;
+  const auto add = [&out](core::LocationId id) {
+    if (std::find(out.begin(), out.end(), id) == out.end()) {
+      out.push_back(id);
+    }
+  };
+  add(dict.RouterLocation(router));
+  std::vector<std::string_view>& tokens = TlsTokenScratch();
+  SplitWhitespace(detail, &tokens);
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const std::string_view s = core::StripPunct(tokens[i]);
+    if (s.empty()) continue;
+    if (LooksLikeIpv4(s)) {
+      if (const auto sess = dict.SessionOnRouter(router, s)) add(*sess);
+      if (const auto owner = dict.ByIp(s)) {
+        add(*owner);
+      } else if (const auto ip = LegacyParseIpv4(s)) {
+        if (const auto subnet = dict.ByIpInPrefix(*ip)) add(*subnet);
+      }
+      continue;
+    }
+    if (s.size() <= 3 && i + 1 < tokens.size()) {
+      const std::string_view pos = core::StripPunct(tokens[i + 1]);
+      if (LooksLikeIfPosition(pos)) {
+        thread_local std::string name;
+        name.assign(s).append(1, ' ').append(pos);
+        if (const auto loc = dict.NameOnRouter(router, name)) {
+          add(*loc);
+          ++i;
+          continue;
+        }
+      }
+    }
+    if (const auto loc = dict.NameOnRouter(router, s)) {
+      add(*loc);
+      continue;
+    }
+    if (const auto path = dict.PathByName(s)) {
+      add(*path);
+      continue;
+    }
+  }
+  return out;
+}
 
 // ---------------------------------------------------------------------------
 
@@ -274,6 +346,61 @@ double MeasureSharded(const core::TemplateSet& learned, const Corpus& corpus,
   return static_cast<double>(corpus.msgs.size()) * passes / secs;
 }
 
+// Interleaved reps of the extract leg; its speedup is a ratio of medians.
+constexpr int kExtractReps = 5;
+
+struct ExtractResult {
+  std::vector<double> reps;  // msgs/sec of Extract, one per rep
+  std::vector<double> legacy_reps;
+  std::size_t records = 0;
+  bool identical = true;
+};
+
+// Extract and the legacy walk over the configured-router records, in
+// alternating order per rep, each rep `passes` passes over the records.
+ExtractResult MeasureExtract(const core::LocationDict& dict,
+                             const Corpus& corpus, int passes) {
+  std::vector<std::pair<core::DictRouterId, std::string_view>> records;
+  for (const auto* rec : corpus.msgs) {
+    if (const auto rid = dict.RouterByName(rec->router)) {
+      records.emplace_back(*rid, rec->detail);
+    }
+  }
+  ExtractResult r;
+  r.records = records.size();
+  for (const auto& [rid, detail] : records) {
+    if (dict.Extract(rid, detail) != LegacyExtract(dict, rid, detail)) {
+      r.identical = false;
+    }
+  }
+  std::uint64_t sink = 0;
+  const auto time = [&](bool legacy) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int p = 0; p < passes; ++p) {
+      for (const auto& [rid, detail] : records) {
+        sink += legacy ? LegacyExtract(dict, rid, detail).size()
+                       : dict.Extract(rid, detail).size();
+      }
+    }
+    return static_cast<double>(records.size()) * passes / Seconds(start);
+  };
+  time(false);  // warmup
+  for (int rep = 0; rep < kExtractReps; ++rep) {
+    const bool legacy_first = rep % 2 == 1;
+    if (legacy_first) r.legacy_reps.push_back(time(true));
+    r.reps.push_back(time(false));
+    if (!legacy_first) r.legacy_reps.push_back(time(true));
+  }
+  std::printf("  (checksum %llu)\n", static_cast<unsigned long long>(sink));
+  return r;
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -327,6 +454,15 @@ int main(int argc, char** argv) {
                 sweep.back().second);
   }
 
+  const ExtractResult extract = MeasureExtract(p.dict, corpus, passes);
+  const double extract_rate = Median(extract.reps);
+  const double legacy_extract_rate = Median(extract.legacy_reps);
+  std::printf("extract (%zu records): %12.0f msgs/sec  legacy %.0f  "
+              "(%.2fx, %s)\n",
+              extract.records, extract_rate, legacy_extract_rate,
+              extract_rate / legacy_extract_rate,
+              extract.identical ? "identical" : "DIVERGED");
+
   std::ofstream out(json);
   out << "{\n  \"benchmark\": \"match\",\n  \"dataset\": \"A\",\n"
       << "  \"cpus\": " << std::thread::hardware_concurrency() << ",\n"
@@ -345,6 +481,19 @@ int main(int argc, char** argv) {
         << ", \"msgs_per_sec\": " << sweep[i].second << "}"
         << (i + 1 < sweep.size() ? "," : "") << "\n";
   }
+  out << "  ],\n  \"extract_records\": " << extract.records << ",\n"
+      << "  \"extract_msgs_per_sec\": " << extract_rate << ",\n"
+      << "  \"extract_reps\": [";
+  for (std::size_t i = 0; i < extract.reps.size(); ++i) {
+    out << (i > 0 ? ", " : "") << extract.reps[i];
+  }
+  out << "],\n"
+      << "  \"legacy_extract_msgs_per_sec\": " << legacy_extract_rate
+      << ",\n"
+      << "  \"extract_speedup\": " << extract_rate / legacy_extract_rate
+      << ",\n"
+      << "  \"extract_identical\": "
+      << (extract.identical ? "true" : "false") << ",\n";
   // Counters from the timed memoized run, in the DESIGN.md §9 snapshot
   // schema so the same tooling reads bench and CLI output.
   obs::Registry metrics;
@@ -364,7 +513,7 @@ int main(int argc, char** argv) {
       .AddCounter("bench_match_heap_allocations_total",
                    "heap allocations in the timed run (must stay 0)")
       ->Inc(cached.allocs);
-  out << "  ],\n  \"metrics\": " << metrics.Collect().RenderJson() << "}\n";
+  out << "  \"metrics\": " << metrics.Collect().RenderJson() << "}\n";
   std::printf("wrote %s\n", json.c_str());
-  return 0;
+  return extract.identical ? 0 : 1;
 }

@@ -23,18 +23,7 @@ Augmented AugmentWithRouting(const syslog::SyslogRecord& rec,
   aug.raw_index = raw_index;
   aug.router_key = router_key;
   aug.router_known = router_known;
-  if (router_known) {
-    aug.locs = dict.Extract(router_key, rec.detail);
-    // Most specific (deepest-level) location named in the text; Extract
-    // puts the router-level location first.
-    aug.primary = aug.locs.front();
-    for (std::size_t i = 1; i < aug.locs.size(); ++i) {
-      if (static_cast<int>(dict.Get(aug.locs[i]).level) >
-          static_cast<int>(dict.Get(aug.primary).level)) {
-        aug.primary = aug.locs[i];
-      }
-    }
-  }
+  if (router_known) aug.locs = dict.Extract(router_key, rec.detail);
   return aug;
 }
 

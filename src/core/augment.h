@@ -31,11 +31,9 @@ struct Augmented {
   std::uint32_t router_key = kNoId;
   bool router_known = false;
   // Extracted locations; element 0 is the originating router's location
-  // when the router is known.  Later elements come from the detail text.
+  // when the router is known.  Later elements come from the detail text,
+  // in text order.  Empty when the router is unknown.
   std::vector<LocationId> locs;
-  // The most specific detail-text location, or the router-level location
-  // when the text names none.  kNoId when the router is unknown.
-  LocationId primary = kNoId;
 
   bool HasDetailLocation() const noexcept { return locs.size() > 1; }
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <map>
 #include <span>
 
@@ -250,7 +251,32 @@ LocationDict LocationDict::Build(
     }
   }
 
+  // Name filter: 128 bits per distinct name, rounded up to a power of two
+  // so the top bits of the hash index it.
+  std::vector<std::uint64_t> hashes;
+  for (const RouterNames& own : dict.on_router_) {
+    for (const auto& [name, id] : own.names) hashes.push_back(HashBytes(name));
+  }
+  for (const auto& [name, id] : dict.path_by_name_) {
+    hashes.push_back(HashBytes(name));
+  }
+  std::sort(hashes.begin(), hashes.end());
+  hashes.erase(std::unique(hashes.begin(), hashes.end()), hashes.end());
+  const std::size_t bits =
+      std::max<std::size_t>(64, std::bit_ceil(hashes.size() * 128));
+  dict.filter_shift_ = 64 - std::countr_zero(bits);
+  dict.name_filter_.assign(bits / 64, 0);
+  for (const std::uint64_t h : hashes) {
+    const std::uint64_t bit = h >> dict.filter_shift_;
+    dict.name_filter_[bit / 64] |= std::uint64_t{1} << (bit % 64);
+  }
+
   return dict;
+}
+
+bool LocationDict::MayName(std::string_view name) const noexcept {
+  const std::uint64_t bit = HashBytes(name) >> filter_shift_;
+  return (name_filter_[bit / 64] >> (bit % 64)) & 1;
 }
 
 std::vector<LocationId> LocationDict::Extract(DictRouterId router,
@@ -270,15 +296,17 @@ std::vector<LocationId> LocationDict::Extract(DictRouterId router,
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     const std::string_view s = StripPunct(tokens[i]);
     if (s.empty()) continue;
-    if (LooksLikeIpv4(s)) {
+    if (const auto ip = net::Ipv4::Parse(s)) {
       // A neighbor statement on this router (BGP session endpoint)...
       if (const auto sess = SessionOnRouter(router, s)) add(*sess);
       // ...and/or an address configured somewhere in the network; an
       // unconfigured address still resolves if it falls inside a
       // configured interface subnet (the far end of a point-to-point).
+      // Both exact tables are keyed by the configured text, so "010.0.0.2"
+      // misses them and resolves through the prefix tables alone.
       if (const auto owner = ByIp(s)) {
         add(*owner);
-      } else if (const auto subnet = ByIpInPrefix(s)) {
+      } else if (const auto subnet = ByIpInPrefix(*ip)) {
         add(*subnet);
       }
       continue;
@@ -297,6 +325,7 @@ std::vector<LocationId> LocationDict::Extract(DictRouterId router,
         }
       }
     }
+    if (!MayName(s)) continue;
     if (const auto loc = NameOnRouter(router, s)) {
       add(*loc);
       continue;
@@ -334,12 +363,9 @@ std::optional<LocationId> LocationDict::ByIp(std::string_view ip) const {
   return it->second;
 }
 
-std::optional<LocationId> LocationDict::ByIpInPrefix(
-    std::string_view ip) const {
-  const auto parsed = net::Ipv4::Parse(ip);
-  if (!parsed) return std::nullopt;
+std::optional<LocationId> LocationDict::ByIpInPrefix(net::Ipv4 ip) const {
   for (const auto& [length, table] : by_prefix_) {  // longest prefix first
-    const net::Ipv4Prefix block(*parsed, length);
+    const net::Ipv4Prefix block(ip, length);
     const auto it = table.find(block.network().value());
     if (it != table.end()) return it->second;
   }

@@ -14,6 +14,17 @@
 // are *validated against the dictionary*: an address that belongs to no
 // configured interface (a scanner, a remote host) yields no location, as
 // the paper requires ("naive pattern matching is not sufficient...").
+//
+// Extract runs on every word of every message from a configured router,
+// and most words ("Line", "protocol", "changed") name nothing.  Build
+// therefore sets one bit per distinct name that NameOnRouter or
+// PathByName can return, in a filter of 128 bits per name (under 1% of
+// other words hit a set bit); a word whose bit is clear skips both hash
+// probes.  Addresses stay out of the filter: interface names repeat from
+// router to router but every interface address is distinct, so addresses
+// would far outnumber the names and set a large share of the bits.
+// An address is parsed once, and the parse both recognizes it and keys
+// the prefix tables.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +37,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "net/addr.h"
 #include "net/config_parser.h"
 
 namespace sld::core {
@@ -94,12 +106,12 @@ class LocationDict {
   // Named location (interface/port/controller/bundle) on a router.
   std::optional<LocationId> NameOnRouter(DictRouterId router,
                                          std::string_view name) const;
-  // Location owning a layer-3 address (any router).
+  // Location owning a layer-3 address (any router), by its exact text.
   std::optional<LocationId> ByIp(std::string_view ip) const;
   // Longest-prefix resolution: an address that is not configured anywhere
   // but falls inside a configured interface subnet maps to that interface
   // (e.g. the far end of a /30 when only one side's config is on hand).
-  std::optional<LocationId> ByIpInPrefix(std::string_view ip) const;
+  std::optional<LocationId> ByIpInPrefix(net::Ipv4 ip) const;
   // Path by name (any router).
   std::optional<LocationId> PathByName(std::string_view name) const;
   // BGP session-endpoint location for (router, neighbor address), learned
@@ -137,6 +149,9 @@ class LocationDict {
   };
 
   LocationId AddLocation(Location loc);
+  // False when no router and no path is named `name`; true for every
+  // name that is, and for under 1% of other words.
+  bool MayName(std::string_view name) const noexcept;
 
   std::vector<Location> locations_;
   std::vector<std::string> router_names_;
@@ -150,6 +165,10 @@ class LocationDict {
            std::greater<int>>
       by_prefix_;
   NameMap path_by_name_;
+  // Name filter: bit HashBytes(name) >> filter_shift_ is set for every
+  // key of on_router_[*].names and path_by_name_.
+  std::vector<std::uint64_t> name_filter_ = {0};
+  int filter_shift_ = 58;
   std::vector<DictLink> links_;
   std::vector<DictPath> paths_;
 };

@@ -7,12 +7,27 @@
 namespace sld::net {
 
 std::optional<Ipv4> Ipv4::Parse(std::string_view text) noexcept {
-  if (!LooksLikeIpv4(text)) return std::nullopt;
+  // One pass: four dot-separated octets of 1-3 digits, each at most 255
+  // (leading zeros allowed: "010" is 10), exactly as LooksLikeIpv4.
   std::uint32_t value = 0;
-  for (const std::string_view part : SplitChar(text, '.')) {
-    value = (value << 8) | static_cast<std::uint32_t>(*ParseInt(part));
+  std::uint32_t octet = 0;
+  int digits = 0;
+  int dots = 0;
+  for (const char c : text) {
+    if (c >= '0' && c <= '9') {
+      if (++digits > 3) return std::nullopt;
+      octet = octet * 10 + static_cast<std::uint32_t>(c - '0');
+    } else if (c == '.' && digits > 0 && octet <= 255 && dots < 3) {
+      value = (value << 8) | octet;
+      octet = 0;
+      digits = 0;
+      ++dots;
+    } else {
+      return std::nullopt;
+    }
   }
-  return Ipv4(value);
+  if (dots != 3 || digits == 0 || octet > 255) return std::nullopt;
+  return Ipv4((value << 8) | octet);
 }
 
 std::string Ipv4::ToString() const {

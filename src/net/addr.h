@@ -5,7 +5,9 @@
 // exact interface-address match is the common case; prefix containment
 // handles addresses inside a configured link subnet that are not
 // themselves configured locally (e.g. the far end of a /30 when only one
-// side's config is available).
+// side's config is available).  The extractor parses every word of every
+// message, so Ipv4::Parse is one pass over the text with no allocation,
+// and its answer doubles as the "is this an address" test.
 #pragma once
 
 #include <compare>
@@ -21,7 +23,9 @@ class Ipv4 {
   constexpr Ipv4() = default;
   constexpr explicit Ipv4(std::uint32_t value) : value_(value) {}
 
-  // Parses dotted-quad notation; nullopt on malformed input.
+  // Parses dotted-quad notation in one allocation-free pass; nullopt on
+  // malformed input.  Accepts exactly the strings LooksLikeIpv4 accepts
+  // (leading zeros included: "010.0.0.1" is 10.0.0.1).
   static std::optional<Ipv4> Parse(std::string_view text) noexcept;
 
   std::string ToString() const;

@@ -260,14 +260,30 @@ std::vector<core::DigestEvent> GroupTracker::Flush() {
 
 namespace {
 
-void SaveAugmented(const core::Augmented& msg, ckpt::Writer* w) {
+// The v1 layout ends each message with a location that nothing reads
+// back: the deepest-level one in `locs`, the first on a tie, kNoId when
+// there is none.  Saving it keeps the snapshot bytes of v1.
+core::LocationId DeepestLocation(const std::vector<core::LocationId>& locs,
+                                 const core::LocationDict& dict) {
+  core::LocationId deepest = core::kNoId;
+  for (const core::LocationId loc : locs) {
+    if (deepest == core::kNoId ||
+        dict.Get(loc).level > dict.Get(deepest).level) {
+      deepest = loc;
+    }
+  }
+  return deepest;
+}
+
+void SaveAugmented(const core::Augmented& msg, const core::LocationDict& dict,
+                   ckpt::Writer* w) {
   w->I64(msg.time);
   w->U64(msg.raw_index);
   w->U32(msg.tmpl);
   w->U32(msg.router_key);
   w->U8(msg.router_known ? 1 : 0);
   w->U32List(msg.locs);
-  w->U32(msg.primary);
+  w->U32(DeepestLocation(msg.locs, dict));
 }
 
 core::Augmented LoadAugmented(ckpt::Reader* r) {
@@ -278,7 +294,7 @@ core::Augmented LoadAugmented(ckpt::Reader* r) {
   msg.router_key = r->U32();
   msg.router_known = r->U8() != 0;
   msg.locs = r->U32List();
-  msg.primary = r->U32();
+  r->U32();  // DeepestLocation, recomputed on save
   return msg;
 }
 
@@ -331,7 +347,7 @@ void GroupTracker::SaveState(ckpt::Writer* w) {
     if (!fresh) ++sizes[it->second];
   }
   w->U64(open.size());
-  for (const std::uint32_t s : open) SaveAugmented(arena_[s], w);
+  for (const std::uint32_t s : open) SaveAugmented(arena_[s], *dict_, w);
   for (const std::size_t p : parents) w->U64(p);
   for (const std::size_t size : sizes) w->U64(size);
   std::vector<std::pair<std::size_t, const GroupMeta*>> rows;

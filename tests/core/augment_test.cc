@@ -39,18 +39,7 @@ TEST_F(AugmentTest, KnownRouterGetsLocationsAndTemplate) {
   ASSERT_EQ(a.locs.size(), 2u);
   EXPECT_EQ(dict_.Get(a.locs[0]).level, LocLevel::kRouter);
   EXPECT_EQ(dict_.Get(a.locs[1]).name, "Serial0/0");
-  EXPECT_EQ(a.primary, a.locs[1]);
   EXPECT_TRUE(a.HasDetailLocation());
-}
-
-TEST_F(AugmentTest, PrimaryIsMostSpecificLocation) {
-  Augmenter aug(&templates_, &dict_);
-  syslog::SyslogRecord rec{1000, "r1", "X-1-Y",
-                           "port Serial0/0 interface Serial0/0.10:0"};
-  const Augmented a = aug.Augment(rec, 0);
-  ASSERT_EQ(a.locs.size(), 3u);
-  EXPECT_EQ(dict_.Get(a.primary).name, "Serial0/0.10:0");
-  EXPECT_EQ(dict_.Get(a.primary).level, LocLevel::kLogicalIf);
 }
 
 TEST_F(AugmentTest, UnknownRouterGetsStableSyntheticKey) {
@@ -60,7 +49,6 @@ TEST_F(AugmentTest, UnknownRouterGetsStableSyntheticKey) {
   const Augmented b = aug.Augment(rec, 1);
   EXPECT_FALSE(a.router_known);
   EXPECT_TRUE(a.locs.empty());
-  EXPECT_EQ(a.primary, kNoId);
   EXPECT_EQ(a.router_key, b.router_key);
   EXPECT_GE(a.router_key, dict_.router_count());
   syslog::SyslogRecord other{0, "ghost2", "X-1-Y", "detail"};

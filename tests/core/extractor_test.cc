@@ -86,6 +86,20 @@ TEST_F(ExtractorTest, ConfiguredAddressResolves) {
   EXPECT_EQ(names[1], "Serial0/1.10:0");  // the interface on r2 owning it
 }
 
+TEST_F(ExtractorTest, ExactAddressTablesMatchTheConfiguredText) {
+  // "010.0.0.2" is r2's address in other text: it misses the exact
+  // address table and resolves through the 10.0.0.0/30 prefix, whose
+  // first configured owner is r1's end of the link.
+  EXPECT_EQ(Names("r1", "peer 10.0.0.2 down"),
+            (std::vector<std::string>{"r1", "Serial0/1.10:0"}));
+  EXPECT_EQ(Names("r1", "peer 010.0.0.2 down"),
+            (std::vector<std::string>{"r1", "Serial0/3.10:0"}));
+  // Session endpoints are keyed by the neighbor statement's text too,
+  // and a /32 loopback has no prefix entry.
+  EXPECT_EQ(Names("r1", "neighbor 192.168.000.2 Down"),
+            (std::vector<std::string>{"r1"}));
+}
+
 TEST_F(ExtractorTest, ScannerAddressValidatedAway) {
   // The §4.1.2 requirement: an address in no config must yield nothing.
   const auto names =

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "common/rng.h"
+#include "common/strings.h"
+
 namespace sld::net {
 namespace {
 
@@ -17,6 +23,60 @@ TEST(Ipv4Test, ParseRejectsMalformed) {
   EXPECT_FALSE(Ipv4::Parse("1.2.3").has_value());
   EXPECT_FALSE(Ipv4::Parse("1.2.3.256").has_value());
   EXPECT_FALSE(Ipv4::Parse("a.b.c.d").has_value());
+}
+
+// Reference value of a string LooksLikeIpv4 accepts: split on '.' and
+// ParseInt each octet.
+std::uint32_t SplitParse(std::string_view text) {
+  std::uint32_t value = 0;
+  for (const std::string_view part : SplitChar(text, '.')) {
+    value = (value << 8) | static_cast<std::uint32_t>(*ParseInt(part));
+  }
+  return value;
+}
+
+TEST(Ipv4Test, ParseAcceptsExactlyLooksLikeIpv4) {
+  EXPECT_EQ(Ipv4::Parse("010.0.0.1"), Ipv4((10u << 24) | 1));
+  for (const char* bad : {"1.2.3.4.5", "1..2.3", ".1.2.3", "1.2.3.",
+                          "1234.1.1.1", "256.1.1.1"}) {
+    EXPECT_FALSE(Ipv4::Parse(bad).has_value()) << bad;
+    EXPECT_FALSE(LooksLikeIpv4(bad)) << bad;
+  }
+  // Random strings over digits, '.' and one letter, up to 16 long.  Half
+  // are uniform over those characters, which almost never spell an
+  // address; the other half join 3-5 fields of 0-4 characters with dots,
+  // so a few percent are addresses and many more miss by one field, one
+  // digit or one octet over 255.
+  constexpr std::string_view kChars = "0123456789.a";
+  constexpr int kFieldLength[] = {0, 1, 1, 2, 2, 3, 3, 4};
+  Rng rng(20101101);
+  std::string text;
+  int accepted = 0;
+  for (int n = 0; n < 200'000; ++n) {
+    text.clear();
+    if (n % 2 == 0) {
+      const std::int64_t len = rng.UniformInt(0, 16);
+      for (std::int64_t i = 0; i < len; ++i) {
+        text += kChars[rng.Index(kChars.size())];
+      }
+    } else {
+      const std::int64_t fields = rng.UniformInt(3, 5);
+      for (std::int64_t f = 0; f < fields; ++f) {
+        if (f > 0) text += '.';
+        for (int i = kFieldLength[rng.Index(8)]; i > 0; --i) {
+          text += rng.Index(40) == 0 ? 'a' : kChars[rng.Index(10)];
+        }
+      }
+      text.resize(std::min<std::size_t>(text.size(), 16));
+    }
+    const auto parsed = Ipv4::Parse(text);
+    ASSERT_EQ(parsed.has_value(), LooksLikeIpv4(text)) << text;
+    if (parsed) {
+      ++accepted;
+      ASSERT_EQ(parsed->value(), SplitParse(text)) << text;
+    }
+  }
+  EXPECT_GT(accepted, 2'000);
 }
 
 TEST(Ipv4Test, Ordering) {

@@ -185,7 +185,6 @@ std::vector<core::Augmented> RandomStream(const StreamSpec& spec,
       for (std::size_t k = 0; k < extra && locs.size() > 1; ++k) {
         msg.locs.push_back(locs[1 + rng.Index(locs.size() - 1)]);
       }
-      msg.primary = msg.locs.back();
     } else {
       msg.router_key = static_cast<std::uint32_t>(dict.router_count() + r);
     }

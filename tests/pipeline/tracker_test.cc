@@ -386,6 +386,20 @@ TEST(GroupTrackerBounds, NeverEndingTrainClosesAtMaxAgeInPeakOpenSlots) {
   EXPECT_LE(out.slots, out.peak_open + 8);
 }
 
+// One open message in SaveState's layout.  v1 ends it with a location
+// that LoadState reads and discards.
+void PutMessage(const core::Augmented& msg, core::LocationId v1_location,
+                ckpt::Writer* out) {
+  out->I64(msg.time);
+  out->U64(msg.raw_index);
+  out->U32(msg.tmpl);
+  out->U32(msg.router_key);
+  out->U8(msg.router_known ? 1 : 0);
+  out->U64(msg.locs.size());
+  for (const core::LocationId loc : msg.locs) out->U32(loc);
+  out->U32(v1_location);
+}
+
 // A tracker snapshot body over messages 0..n-1 (n = parents.size()), one
 // group row per entry of `rows`, in SaveState's layout.
 std::string TrackerBody(const std::vector<std::uint64_t>& parents,
@@ -394,16 +408,9 @@ std::string TrackerBody(const std::vector<std::uint64_t>& parents,
   ckpt::Writer out;
   out.U64(parents.size());
   for (std::size_t i = 0; i < parents.size(); ++i) {
-    const core::Augmented msg =
-        w.Message(i, 1'250'000'000'000 + static_cast<TimeMs>(i) * 1000);
-    out.I64(msg.time);
-    out.U64(msg.raw_index);
-    out.U32(msg.tmpl);
-    out.U32(msg.router_key);
-    out.U8(msg.router_known ? 1 : 0);
-    out.U64(msg.locs.size());
-    for (const core::LocationId loc : msg.locs) out.U32(loc);
-    out.U32(msg.primary);
+    PutMessage(
+        w.Message(i, 1'250'000'000'000 + static_cast<TimeMs>(i) * 1000),
+        core::kNoId, &out);
   }
   for (const std::uint64_t p : parents) out.U64(p);
   for (std::size_t i = 0; i < parents.size(); ++i) out.U64(1);
@@ -438,6 +445,49 @@ TEST(GroupTrackerLoadState, RefusesMalformedForests) {
   EXPECT_TRUE(refused({0, 1}, {0})) << "a root has no row";
   EXPECT_TRUE(refused({0, 5}, {0, 1})) << "a parent out of range";
   EXPECT_TRUE(refused({0}, {3})) << "a row out of range";
+}
+
+// The v1 layout keeps, after each message's locations, its deepest-level
+// location (the first on a tie).  Nothing reads it back, so the tracker
+// computes it from the locations when it saves.
+TEST(GroupTrackerSaveState, WritesDeepestLocationInV1Field) {
+  World& w = SharedWorld();
+  core::LocationId logical = core::kNoId;
+  for (core::LocationId id = 0; id < w.dict.size(); ++id) {
+    const core::Location& loc = w.dict.Get(id);
+    if (loc.level == core::LocLevel::kLogicalIf && loc.parent != core::kNoId) {
+      logical = id;
+      break;
+    }
+  }
+  ASSERT_NE(logical, core::kNoId);
+  const core::Location& lif = w.dict.Get(logical);
+  const TimeMs t = 1'250'000'000'000;
+  core::Augmented msg = w.Message(0, t);
+  msg.router_key = lif.router;
+  msg.router_known = true;
+  // Router, logical interface, then its port: the deepest is not last.
+  msg.locs = {w.dict.RouterLocation(lif.router), logical, lif.parent};
+
+  GroupTracker tracker(&w.kb, &w.dict, kMsPerMinute, kNever);
+  tracker.Observe(t);
+  tracker.Add(msg);
+  ckpt::Writer saved;
+  tracker.SaveState(&saved);
+
+  ckpt::Writer want;
+  want.U64(1);
+  PutMessage(msg, logical, &want);
+  want.U64(0);  // parent
+  want.U64(1);  // group size
+  want.U64(1);  // one group row
+  want.U64(0);
+  want.I64(t);
+  want.I64(t);
+  want.U64(0);  // fired rules
+  want.U64(1);  // processed
+  want.I64(t);  // clock
+  EXPECT_EQ(std::move(saved).Take(), std::move(want).Take());
 }
 
 TEST(GroupTrackerLoadState, SoundForestRestoresItsGroups) {

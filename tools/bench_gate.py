@@ -8,6 +8,12 @@ Dispatches on the "benchmark" field of FRESH.json:
 
   match       - cached_msgs_per_sec must not regress by more than the
                 noise margin, and allocs_per_message must stay zero.
+                The extract leg must read "extract_identical": true
+                (LocationDict::Extract returned the locations of the
+                in-bench frozen unfiltered token walk for every record)
+                and its extract_speedup over that walk, a same-process
+                ratio asserted on any host, must reach
+                EXTRACT_MIN_SPEEDUP.
   throughput  - sharded-pipeline rate at threads=1 must not regress by
                 more than the noise margin; when the run carries an
                 "engine" block, the Engine-layer rate must stay within
@@ -102,6 +108,12 @@ import sys
 # template-indexed windows with joins measured about 1.4.
 DENSE_MIN_RATIO = 0.5
 
+# Floor on bench_match's extract_speedup: LocationDict::Extract over the
+# frozen token walk without the name filter, in one process.  Five smoke
+# runs (--learn-days 2 --passes 50) on a 4-vCPU x86-64 host read
+# 2.10-2.43x; the floor is 80% of the lowest, rounded down.
+EXTRACT_MIN_SPEEDUP = 1.6
+
 
 def median(values):
     ordered = sorted(float(v) for v in values)
@@ -173,6 +185,21 @@ def gate_match(gate, fresh, baseline, args):
     if allocs > 0.0:
         gate.fail(f"allocs_per_message is {allocs}; the steady-state match "
                   "path must stay allocation-free")
+
+    if "extract_identical" not in fresh:
+        if "extract_identical" in baseline:
+            gate.fail("baseline has an extract leg but the fresh run does "
+                      "not")
+        return
+    print(f"extract_identical: {fresh['extract_identical']}")
+    if fresh["extract_identical"] is not True:
+        gate.fail("LocationDict::Extract returned other locations than the "
+                  "frozen token walk for at least one record")
+    speedup = float(fresh["extract_speedup"])
+    print(f"extract_speedup: {speedup:.2f}x (floor {EXTRACT_MIN_SPEEDUP}x)")
+    if speedup < EXTRACT_MIN_SPEEDUP:
+        gate.fail(f"extract_speedup {speedup:.2f}x is below the "
+                  f"{EXTRACT_MIN_SPEEDUP}x floor")
 
 
 def gate_throughput(gate, fresh, baseline, args):
