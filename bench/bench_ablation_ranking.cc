@@ -10,6 +10,7 @@
 #include <set>
 
 #include "common.h"
+#include "pipeline/pipeline.h"
 #include "syslog/record.h"
 
 using namespace sld;
@@ -72,8 +73,8 @@ int main(int argc, char** argv) {
   const sim::DatasetSpec spec = sim::DatasetBSpec();
   bench::Pipeline p =
       bench::BuildPipeline(spec, args.learn_days, args.live_days);
-  core::Digester digester(&p.kb, &p.dict);
-  const core::DigestResult result = digester.Digest(p.live.messages);
+  const core::DigestResult result =
+      pipeline::Digest(&p.kb, &p.dict, p.live.messages);
 
   std::map<std::string, std::string> state_of;
   for (const net::Router& r : p.live.topo.routers) {

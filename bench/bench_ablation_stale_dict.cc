@@ -11,6 +11,7 @@
 
 #include "common.h"
 #include "core/eval.h"
+#include "pipeline/pipeline.h"
 
 using namespace sld;
 
@@ -48,8 +49,8 @@ int main(int argc, char** argv) {
     params.rules = bench::PaperRuleParams(spec);
     core::OfflineLearner learner(params);
     core::KnowledgeBase kb = learner.Learn(p.history.messages, dict);
-    core::Digester digester(&kb, &dict);
-    const core::DigestResult result = digester.Digest(p.live.messages);
+    const core::DigestResult result =
+        pipeline::Digest(&kb, &dict, p.live.messages);
     const core::GroupingQuality q = core::EvaluateGrouping(p.live, result);
     std::printf("%-12d %-10zu %-12.3e %-14.2f %.1f%%\n", percent,
                 result.events.size(), result.CompressionRatio(),

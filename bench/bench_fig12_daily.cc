@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common.h"
+#include "pipeline/pipeline.h"
 
 using namespace sld;
 
@@ -14,7 +15,6 @@ int main() {
                 "~3 orders of magnitude between the two curves");
   const sim::DatasetSpec spec = sim::DatasetASpec();
   bench::Pipeline p = bench::BuildPipeline(spec, 28, 14);
-  core::Digester digester(&p.kb, &p.dict);
 
   std::printf("%-6s %-10s %-8s %-12s %s\n", "day", "messages", "events",
               "active rules", "ratio");
@@ -32,7 +32,7 @@ int main() {
     }
     const std::span<const syslog::SyslogRecord> slice(
         p.live.messages.data() + begin, end - begin);
-    const core::DigestResult result = digester.Digest(slice);
+    const core::DigestResult result = pipeline::Digest(&p.kb, &p.dict, slice);
     std::printf("%-6d %-10zu %-8zu %-12zu %.3e\n", day + 1, slice.size(),
                 result.events.size(), result.active_rule_count,
                 result.CompressionRatio());

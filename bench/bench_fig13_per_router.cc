@@ -7,6 +7,7 @@
 #include <map>
 
 #include "common.h"
+#include "pipeline/pipeline.h"
 
 using namespace sld;
 
@@ -35,8 +36,8 @@ int main() {
                 "counts; the busiest router has the best compression");
   const sim::DatasetSpec spec = sim::DatasetASpec();
   bench::Pipeline p = bench::BuildPipeline(spec, 28, 14);
-  core::Digester digester(&p.kb, &p.dict);
-  const core::DigestResult result = digester.Digest(p.live.messages);
+  const core::DigestResult result =
+      pipeline::Digest(&p.kb, &p.dict, p.live.messages);
 
   std::map<std::string, std::size_t> msgs_of;
   for (const auto& rec : p.live.messages) ++msgs_of[rec.router];

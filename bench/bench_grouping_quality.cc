@@ -7,6 +7,7 @@
 // completeness@1 (share of the condition held by its main digest event).
 #include "common.h"
 #include "core/eval.h"
+#include "pipeline/pipeline.h"
 
 using namespace sld;
 
@@ -14,15 +15,14 @@ namespace {
 
 void Run(const sim::DatasetSpec& spec) {
   bench::Pipeline p = bench::BuildPipeline(spec, 28, 7);
-  core::Digester digester(&p.kb, &p.dict);
   struct Mode {
     const char* name;
-    core::DigestOptions options;
+    pipeline::PipelineOptions options;
   };
   const Mode modes[] = {
-      {"T", {false, false, kMsPerSecond}},
-      {"T+R", {true, false, kMsPerSecond}},
-      {"T+R+C", {true, true, kMsPerSecond}},
+      {"T", {.use_rules = false, .use_cross_router = false}},
+      {"T+R", {.use_rules = true, .use_cross_router = false}},
+      {"T+R+C", {.use_rules = true, .use_cross_router = true}},
   };
   std::printf("dataset %s (%zu true events in 7 online days):\n",
               spec.name.c_str(), p.live.ground_truth.size());
@@ -30,7 +30,7 @@ void Run(const sim::DatasetSpec& spec) {
               "purity", "completeness@1", "fully assembled");
   for (const Mode& mode : modes) {
     const core::DigestResult result =
-        digester.Digest(p.live.messages, mode.options);
+        pipeline::Digest(&p.kb, &p.dict, p.live.messages, mode.options);
     const core::GroupingQuality q =
         core::EvaluateGrouping(p.live, result);
     std::printf("  %-8s %-14.2f %-9.3f %-15.3f %.1f%%\n", mode.name,

@@ -2,6 +2,7 @@
 // two-week online period: T (temporal), T+R (+rule-based), T+R+C
 // (+cross-router), for datasets A and B.
 #include "common.h"
+#include "pipeline/pipeline.h"
 
 using namespace sld;
 
@@ -9,15 +10,14 @@ namespace {
 
 void Run(const sim::DatasetSpec& spec) {
   bench::Pipeline p = bench::BuildPipeline(spec, 28, 14);
-  core::Digester digester(&p.kb, &p.dict);
   struct Mode {
     const char* name;
-    core::DigestOptions options;
+    pipeline::PipelineOptions options;
   };
   const Mode modes[] = {
-      {"T", {false, false, kMsPerSecond}},
-      {"T+R", {true, false, kMsPerSecond}},
-      {"T+R+C", {true, true, kMsPerSecond}},
+      {"T", {.use_rules = false, .use_cross_router = false}},
+      {"T+R", {.use_rules = true, .use_cross_router = false}},
+      {"T+R+C", {.use_rules = true, .use_cross_router = true}},
   };
   std::printf("dataset %s (%zu online messages over 14 days):\n",
               spec.name.c_str(), p.live.messages.size());
@@ -25,7 +25,7 @@ void Run(const sim::DatasetSpec& spec) {
               "active rules");
   for (const Mode& mode : modes) {
     const core::DigestResult result =
-        digester.Digest(p.live.messages, mode.options);
+        pipeline::Digest(&p.kb, &p.dict, p.live.messages, mode.options);
     std::printf("  %-8s %-10zu %-12.3e %zu\n", mode.name,
                 result.events.size(), result.CompressionRatio(),
                 result.active_rule_count);

@@ -1,7 +1,7 @@
 // §5.3 — "it generally takes less than one hour to digest one day's
 // syslog".  Online digest throughput of one day, in messages/second: a
-// pipeline shard sweep (shards=1 runs inline, no threads) plus
-// Engine-vs-direct-pipeline rep pairs, written to BENCH_throughput.json.
+// pipeline shard sweep (shards=1 runs inline, no threads), written to
+// BENCH_throughput.json.
 // The sweep run also digests a dense leg at shards=1: slgen's message
 // mix from 20 routers absent from the configs, whose rule windows hold
 // about a thousand entries each.  Template learning and rule mining are
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common.h"
-#include "engine/engine.h"
 #include "loadgen/loadgen.h"
 #include "obs/registry.h"
 #include "pipeline/pipeline.h"
@@ -136,42 +135,6 @@ double BestOf(const std::vector<double>& rates) {
   return best;
 }
 
-// The same live day through engine::Engine's batch path; returns seconds.
-// The engine is the layer the CLI drives since the multi-tenant refactor,
-// so this run vs RunSharded is exactly "refactored driver vs direct
-// pipeline" — the abstraction must cost nothing.
-double RunEngine(Fixture& f, std::size_t threads) {
-  engine::EngineOptions opts;
-  opts.shards = threads;
-  engine::Engine eng(&f.p.kb, &f.p.dict, opts);
-  const auto start = std::chrono::steady_clock::now();
-  const core::DigestResult result = eng.Digest(f.p.live.messages);
-  const auto stop = std::chrono::steady_clock::now();
-  g_events_sink = result.events.size();
-  return std::chrono::duration<double>(stop - start).count();
-}
-
-struct EngineCompare {
-  std::size_t threads = 1;
-  std::vector<double> reps;         // Engine::Digest msgs/sec
-  std::vector<double> driver_reps;  // direct ShardedPipeline msgs/sec
-};
-
-// Interleaves engine and direct-pipeline reps so slow drift (thermal,
-// noisy neighbours) hits both sides equally; bench_gate compares the
-// two rep lists against each other, not against a stored baseline.
-EngineCompare MeasureEngineCompare(Fixture& f, std::size_t threads,
-                                   int reps) {
-  EngineCompare cmp;
-  cmp.threads = threads;
-  const auto messages = static_cast<double>(f.p.live.messages.size());
-  for (int rep = 0; rep < reps; ++rep) {
-    cmp.driver_reps.push_back(messages / RunSharded(f, threads));
-    cmp.reps.push_back(messages / RunEngine(f, threads));
-  }
-  return cmp;
-}
-
 struct SweepPoint {
   std::size_t threads = 1;
   std::vector<double> reps;  // per-rep msgs/sec, in run order
@@ -179,7 +142,6 @@ struct SweepPoint {
 
 void WriteSweepJson(const std::string& path, std::size_t messages,
                     int learn_days, const std::vector<SweepPoint>& sweep,
-                    const EngineCompare* engine,
                     const std::vector<double>* dense,
                     const obs::MetricsSnapshot& metrics) {
   std::ofstream out(path);
@@ -201,21 +163,6 @@ void WriteSweepJson(const std::string& path, std::size_t messages,
     out << "]}" << (i + 1 < sweep.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
-  // Engine-vs-driver rep pairs: the gate asserts the Engine path stays
-  // within noise of driving the ShardedPipeline directly.  A same-run
-  // relative measure, so it holds even on 1-CPU runners.
-  if (engine != nullptr) {
-    out << "  \"engine\": {\"threads\": " << engine->threads
-        << ", \"reps\": [";
-    for (std::size_t r = 0; r < engine->reps.size(); ++r) {
-      out << (r != 0 ? ", " : "") << engine->reps[r];
-    }
-    out << "], \"driver_reps\": [";
-    for (std::size_t r = 0; r < engine->driver_reps.size(); ++r) {
-      out << (r != 0 ? ", " : "") << engine->driver_reps[r];
-    }
-    out << "]},\n";
-  }
   // The dense leg: bench_gate compares its rate with this run's own
   // threads=1 sweep rate, a ratio that does not depend on the host.
   if (dense != nullptr) {
@@ -270,7 +217,7 @@ int main(int argc, char** argv) {
   Fixture& f = Shared();
   if (threads > 0) {
     // Single measurement mode: the pipeline at the requested shard
-    // count, no sweep and no engine comparison.
+    // count, no sweep and no dense leg.
     const std::vector<double> rates =
         MeasureShardedReps(f, static_cast<std::size_t>(threads), reps);
     std::printf("sharded_pipeline threads=%ld msgs_per_sec=%.0f\n", threads,
@@ -279,7 +226,7 @@ int main(int argc, char** argv) {
     RunSharded(f, static_cast<std::size_t>(threads), &metrics);
     WriteSweepJson(json, f.p.live.messages.size(), g_learn_days,
                    {{static_cast<std::size_t>(threads), rates}}, nullptr,
-                   nullptr, metrics.Collect());
+                   metrics.Collect());
     return 0;
   }
 
@@ -289,17 +236,12 @@ int main(int argc, char** argv) {
     std::printf("sharded_pipeline threads=%zu msgs_per_sec=%.0f\n", n,
                 BestOf(sweep.back().reps));
   }
-  const EngineCompare engine =
-      MeasureEngineCompare(f, sweep.back().threads, reps);
-  std::printf("engine threads=%zu msgs_per_sec=%.0f (driver %.0f)\n",
-              engine.threads, BestOf(engine.reps),
-              BestOf(engine.driver_reps));
   const std::vector<double> dense = MeasureDenseReps(f, reps);
   std::printf("dense threads=1 msgs_per_sec=%.0f\n", BestOf(dense));
   obs::Registry metrics;
   RunSharded(f, sweep.back().threads, &metrics);
-  WriteSweepJson(json, f.p.live.messages.size(), g_learn_days, sweep, &engine,
-                 &dense, metrics.Collect());
+  WriteSweepJson(json, f.p.live.messages.size(), g_learn_days, sweep, &dense,
+                 metrics.Collect());
   std::printf("wrote %s\n", json.c_str());
   return 0;
 }

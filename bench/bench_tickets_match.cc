@@ -10,6 +10,7 @@
 #include <set>
 
 #include "common.h"
+#include "pipeline/pipeline.h"
 
 using namespace sld;
 
@@ -19,8 +20,8 @@ int main() {
                 "(paper: top 5%)");
   const sim::DatasetSpec spec = sim::DatasetBSpec();
   bench::Pipeline p = bench::BuildPipeline(spec, 28, 14);
-  core::Digester digester(&p.kb, &p.dict);
-  const core::DigestResult result = digester.Digest(p.live.messages);
+  const core::DigestResult result =
+      pipeline::Digest(&p.kb, &p.dict, p.live.messages);
 
   // Router name -> state, from the generated topology.
   std::map<std::string, std::string> state_of;

@@ -12,6 +12,7 @@
 
 #include "core/learn.h"
 #include "net/config_parser.h"
+#include "pipeline/pipeline.h"
 #include "sim/generator.h"
 
 using namespace sld;
@@ -39,7 +40,6 @@ int main() {
   const core::LocationDict dict = core::LocationDict::Build(parsed);
   core::OfflineLearner learner;
   core::KnowledgeBase kb = learner.Learn(history.messages, dict);
-  core::Digester digester(&kb, &dict);
 
   // Pick the busiest 10-minute window of the day.
   const TimeMs window = 10 * kMsPerMinute;
@@ -61,7 +61,7 @@ int main() {
   for (const auto& msg : live.messages) {
     if (msg.time >= w_start && msg.time < w_end) slice.push_back(msg);
   }
-  const core::DigestResult result = digester.Digest(slice);
+  const core::DigestResult result = pipeline::Digest(&kb, &dict, slice);
 
   std::printf("network status map %s .. %s (10-minute window)\n\n",
               FormatTimestamp(w_start).c_str(),

@@ -12,6 +12,7 @@
 #include "core/priority/report.h"
 #include "core/query.h"
 #include "net/config_parser.h"
+#include "pipeline/pipeline.h"
 #include "sim/generator.h"
 
 using namespace sld;
@@ -28,8 +29,7 @@ int main() {
   const core::LocationDict dict = core::LocationDict::Build(parsed);
   core::OfflineLearner learner;
   core::KnowledgeBase kb = learner.Learn(history.messages, dict);
-  core::Digester digester(&kb, &dict);
-  core::DigestResult result = digester.Digest(live.messages);
+  core::DigestResult result = pipeline::Digest(&kb, &dict, live.messages);
 
   // 1. The morning report (truncated).
   core::ReportOptions opts;
@@ -72,7 +72,7 @@ int main() {
     std::printf("\npinned expert rule: config change <-> CPU falling\n");
   }
   const std::size_t before = result.events.size();
-  result = digester.Digest(live.messages);
+  result = pipeline::Digest(&kb, &dict, live.messages);
   std::printf(
       "re-digest with expert knowledge: %zu -> %zu events; MPLS events "
       "now labeled 'transport path'\n",

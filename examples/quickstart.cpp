@@ -4,11 +4,12 @@
 // This is the whole SyslogDigest lifecycle in ~60 lines:
 //   topology -> configs -> location dictionary
 //   historical syslog -> OfflineLearner -> KnowledgeBase
-//   live syslog -> Digester -> prioritized events
+//   live syslog -> pipeline::Digest -> prioritized events
 #include <cstdio>
 
 #include "core/learn.h"
 #include "net/config_parser.h"
+#include "pipeline/pipeline.h"
 #include "sim/generator.h"
 
 int main() {
@@ -43,8 +44,7 @@ int main() {
               learned.Serialize().size());
 
   // Online digesting.
-  core::Digester digester(&kb, &dict);
-  const core::DigestResult result = digester.Digest(live.messages);
+  const core::DigestResult result = pipeline::Digest(&kb, &dict, live.messages);
   std::printf("digest: %zu events from %zu messages (ratio %.2e, "
               "%zu active rules)\n\n",
               result.events.size(), result.message_count,

@@ -16,6 +16,7 @@
 #include "core/learn.h"
 #include "core/priority/report.h"
 #include "net/config_parser.h"
+#include "pipeline/pipeline.h"
 #include "sim/generator.h"
 
 using namespace sld;
@@ -35,8 +36,7 @@ int main() {
   const core::LocationDict dict = core::LocationDict::Build(parsed);
   core::OfflineLearner learner;
   core::KnowledgeBase kb = learner.Learn(history.messages, dict);
-  core::Digester digester(&kb, &dict);
-  const core::DigestResult result = digester.Digest(live.messages);
+  const core::DigestResult result = pipeline::Digest(&kb, &dict, live.messages);
 
   // The incident under investigation: the (rare) dual failure.  The
   // operator's entry point is its PIM neighbor loss alarm; we use the

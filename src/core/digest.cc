@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "pipeline/pipeline.h"
-
 namespace sld::core {
 
 std::string DigestEvent::Format() const {
@@ -62,19 +60,6 @@ DigestEvent BuildEvent(const std::vector<const Augmented*>& messages,
                       kb.label_rules.empty() ? nullptr : &kb.label_rules);
   ev.location_text = LocationTextFor(messages, dict);
   return ev;
-}
-
-DigestResult Digester::Digest(std::span<const syslog::SyslogRecord> stream,
-                              const DigestOptions& options) {
-  // The one digest driver at one shard, with the default unbounded idle
-  // and max-age horizons: no group closes before the final flush, so the
-  // partition is the closed-stream partition.
-  pipeline::PipelineOptions opts;
-  opts.digest = options;
-  opts.metrics = metrics_;
-  pipeline::ShardedPipeline pipeline(kb_, dict_, opts);
-  pipeline.Push(stream);
-  return pipeline.Finish();
 }
 
 }  // namespace sld::core

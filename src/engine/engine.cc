@@ -91,6 +91,16 @@ Engine::Engine(core::KnowledgeBase* kb, const core::LocationDict* dict,
         "wall-clock latency from record ingest to event emission",
         obs::LatencyBucketsSeconds());
   }
+  pipeline::PipelineOptions opts;
+  opts.shards = options_.shards;
+  opts.idle_close_ms = options_.idle_close_ms;
+  opts.max_group_age_ms = options_.max_group_age_ms;
+  opts.metrics = reg_;
+  pipeline_ = std::make_unique<pipeline::ShardedPipeline>(kb_, dict_, opts);
+  // Per-tenant event order is the deterministic close order at any shard
+  // count; each flush unit reaches the log (when durable) as one commit.
+  pipeline_->SetEventSink(
+      [this](std::span<core::DigestEvent> events) { DeliverBatch(events); });
 }
 
 Engine::~Engine() {
@@ -123,21 +133,6 @@ std::unique_ptr<Engine> Engine::Load(const std::string& configs_dir,
 }
 
 void Engine::SetEventSink(EventSink sink) { sink_ = std::move(sink); }
-
-void Engine::EnsureStream() {
-  if (pipeline_ != nullptr) return;
-  pipeline::PipelineOptions opts;
-  opts.digest = options_.digest;
-  opts.shards = options_.shards;
-  opts.idle_close_ms = options_.idle_close_ms;
-  opts.max_group_age_ms = options_.max_group_age_ms;
-  opts.metrics = reg_;
-  pipeline_ = std::make_unique<pipeline::ShardedPipeline>(kb_, dict_, opts);
-  // Per-tenant event order is the deterministic close order at any shard
-  // count; each flush unit reaches the log (when durable) as one commit.
-  pipeline_->SetEventSink(
-      [this](std::span<core::DigestEvent> events) { DeliverBatch(events); });
-}
 
 void Engine::DeliverBatch(std::span<core::DigestEvent> events) {
   std::uint64_t seq = static_cast<std::uint64_t>(
@@ -190,12 +185,6 @@ void Engine::DeliverBatch(std::span<core::DigestEvent> events) {
       collected_.push_back(std::move(ev));
     }
   }
-}
-
-void Engine::Feed(std::span<const syslog::SyslogRecord> records) {
-  if (records.empty()) return;
-  EnsureStream();
-  pipeline_->Push(records);
 }
 
 bool Engine::IngestDatagram(std::string_view datagram) {
@@ -254,15 +243,15 @@ void Engine::ObserveEventLatency(const core::DigestEvent& ev) {
 }
 
 std::size_t Engine::Pump() {
-  Feed(collector_.Drain());
+  pipeline_->Push(collector_.Drain());
   return events_.load(std::memory_order_relaxed);
 }
 
 std::vector<core::DigestEvent> Engine::Finish() {
   if (finished_) return {};
   finished_ = true;
-  Feed(collector_.Flush());
-  if (pipeline_ != nullptr) pipeline_->Finish();
+  pipeline_->Push(collector_.Flush());
+  pipeline_->Finish();
   return std::exchange(collected_, {});
 }
 
@@ -309,8 +298,6 @@ bool Engine::OpenDurable(const std::string& dir, std::string* error) {
         "event-log commits that failed to write or fsync (their events "
         "were delivered anyway)");
   }
-  // Attach the dir before restoring so EnsureStream (called while the
-  // snapshot is being applied) wires the durable event path.
   ckpt_dir_ = dir;
   std::string body;
   std::string snap_error;
@@ -372,16 +359,19 @@ bool Engine::RestoreFromBody(std::string_view body, std::string* error) {
     if (error != nullptr) *error = "corrupt collector state in snapshot";
     return false;
   }
+  // Flag 0: a snapshot taken before the first record by a version that
+  // built the stage lazily; the fresh stage is that state.
   if (r.U8() != 0) {
     // Templates first (runtime catch-alls grow the set), so the stage
-    // built by EnsureStream matches the snapshot's template ids.
+    // state refers to the snapshot's template ids.  Threaded, the workers
+    // are parked on empty queues; the first batch pushed after the
+    // restore publishes the new set to them.
     const std::string templates = r.Str();
     if (!r.ok()) {
       if (error != nullptr) *error = "corrupt template state in snapshot";
       return false;
     }
     kb_->templates = core::TemplateSet::Deserialize(templates);
-    EnsureStream();
     if (!pipeline_->LoadState(&r)) {
       if (error != nullptr) *error = "corrupt stage state in snapshot";
       return false;
@@ -401,16 +391,14 @@ bool Engine::Checkpoint(std::string* error) {
     return false;
   }
   const auto start = std::chrono::steady_clock::now();
-  if (pipeline_ != nullptr) pipeline_->Quiesce();
+  pipeline_->Quiesce();
   ckpt::Writer body;
   body.Str(options_.tenant);
   body.U64(events_.load(std::memory_order_relaxed));
   collector_.SaveState(&body);
-  body.U8(pipeline_ != nullptr ? 1 : 0);
-  if (pipeline_ != nullptr) {
-    body.Str(kb_->templates.Serialize());
-    pipeline_->SaveState(&body);
-  }
+  body.U8(1);  // the stage section follows
+  body.Str(kb_->templates.Serialize());
+  pipeline_->SaveState(&body);
   if (!ckpt::WriteSnapshotFile(ckpt_dir_ + "/snapshot", body.data(), error)) {
     if (ckpt_cells_.save_failures != nullptr) ckpt_cells_.save_failures->Inc();
     return false;
@@ -436,22 +424,6 @@ double Engine::SecondsSinceCheckpoint() noexcept {
     ckpt_cells_.age_s->Set(static_cast<std::int64_t>(s));
   }
   return s;
-}
-
-std::size_t Engine::open_group_count() const noexcept {
-  return pipeline_ != nullptr ? pipeline_->open_group_count() : 0;
-}
-
-core::DigestResult Engine::Digest(
-    std::span<const syslog::SyslogRecord> records) {
-  // The batch form: a fresh pipeline with unbounded horizons.
-  pipeline::PipelineOptions opts;
-  opts.digest = options_.digest;
-  opts.shards = options_.shards;
-  opts.metrics = reg_;
-  pipeline::ShardedPipeline p(kb_, dict_, opts);
-  p.Push(records);
-  return p.Finish();
 }
 
 }  // namespace sld::engine

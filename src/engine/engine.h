@@ -9,11 +9,16 @@
 // everything *shared* (the thread pool, the one obs Registry, the UDP
 // sockets) lives in EngineHost.
 //
-// The CLI's digest/stream/serve commands are thin drivers over this
-// class; the per-tenant event stream is bit-identical to a dedicated
-// single-tenant process at any shard count because the engine reuses the
-// exact collector -> stage wiring those processes ran (the equivalence
-// suite in tests/engine/engine_test.cc holds them against each other).
+// An Engine is the live path only: records enter through the collector
+// and events leave through the sink as groups close.  The engine builds
+// its digest stage when it is constructed.  A closed archive is
+// digested by pipeline::Digest, with no engine and no collector.
+//
+// The CLI's stream/serve commands are thin drivers over this class; the
+// per-tenant event stream is bit-identical to a dedicated single-tenant
+// process at any shard count because the engine reuses the exact
+// collector -> stage wiring those processes ran (the equivalence suite in
+// tests/engine/engine_test.cc holds them against each other).
 //
 // Metrics: when `EngineOptions.metrics` is set and the tenant name is
 // non-empty, the engine registers every cell through a
@@ -47,7 +52,6 @@ struct EngineOptions {
   // Label value for every obs series this engine registers; empty means
   // no tenant label (single-tenant legacy modes keep their series names).
   std::string tenant;
-  core::DigestOptions digest;
   // 1 = the digest stage runs inline on the pumping thread; N>1 = N
   // shard workers plus a merge thread.  The events are identical either
   // way.
@@ -167,11 +171,9 @@ class Engine {
 
   // Open groups in the live digest stage (exact when quiescent — the
   // serve loop between pumps, or after Finish).
-  std::size_t open_group_count() const noexcept;
-
-  // Batch path: digests a closed, time-sorted stream without a collector
-  // front (the `sldigest digest` shape).  Independent of the live path.
-  core::DigestResult Digest(std::span<const syslog::SyslogRecord> records);
+  std::size_t open_group_count() const noexcept {
+    return pipeline_->open_group_count();
+  }
 
   const std::string& tenant() const noexcept { return options_.tenant; }
   // Cumulative events delivered through the live path (exact once
@@ -189,8 +191,6 @@ class Engine {
   obs::Registry* metrics() noexcept { return reg_; }
 
  private:
-  void EnsureStream();
-  void Feed(std::span<const syslog::SyslogRecord> records);
   // Every flush unit of closed events funnels through here (merge thread
   // when shards>1): assigns the unit's dense event sequence numbers,
   // suppresses the already-logged prefix after a restore, commits the
@@ -219,8 +219,8 @@ class Engine {
 
   syslog::Collector collector_;
 
-  // Live digest stage, built lazily on the first released record so a
-  // batch-only engine never spawns pipeline threads.
+  // Live digest stage, built by the constructor and stopped first by the
+  // destructor, while everything its sink reaches is still alive.
   std::unique_ptr<pipeline::ShardedPipeline> pipeline_;
 
   EventSink sink_;

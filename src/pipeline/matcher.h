@@ -131,13 +131,6 @@ class ConcurrentTemplateMatcher {
     return id;
   }
 
-  // Uncached convenience form (tests, single-shot callers).
-  core::TemplateId MatchOrFallback(std::string_view code,
-                                   std::string_view detail) {
-    std::vector<std::string_view> scratch;
-    return MatchOrFallback(code, detail, nullptr, &scratch);
-  }
-
   // Reader-lockable by stages that read template text (event labeling).
   std::shared_mutex& mutex() noexcept { return mutex_; }
 

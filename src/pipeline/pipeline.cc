@@ -17,6 +17,9 @@ namespace {
 
 // Batches buffered per queue before back-pressure reaches the ingest.
 constexpr std::size_t kQueueCapacity = 64;
+// Records per queue batch at shards > 1: one mutex round-trip per batch,
+// not per message, keeps the queues off the hot path.
+constexpr std::size_t kBatchSize = 256;
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -105,9 +108,8 @@ ShardedPipeline::ShardedPipeline(core::KnowledgeBase* kb,
       // while the merge thread reads it for event labels.
       tracker_(kb, dict, options.idle_close_ms, options.max_group_age_ms,
                &matcher_.mutex()),
-      cross_(dict, options.digest.cross_router_window) {
+      cross_(dict) {
   const std::size_t n = std::max<std::size_t>(1, options_.shards);
-  options_.batch_size = std::max<std::size_t>(1, options_.batch_size);
   for (std::size_t k = 0; k < n; ++k) {
     shards_.push_back(std::make_unique<Shard>(kb, dict));
   }
@@ -177,7 +179,7 @@ void ShardedPipeline::ShardStep(Shard& shard,
   std::optional<std::size_t> chain_tail;
   shard.temporal.Feed(out->msg, &chain_tail);
   if (chain_tail) out->edges.push_back({*chain_tail, out->msg.raw_index});
-  if (options_.digest.use_rules) {
+  if (options_.use_rules) {
     shard.rules.Feed(out->msg, &out->edges, &out->fired_rules);
   }
 }
@@ -188,7 +190,7 @@ void ShardedPipeline::MergeStep(const ShardOutput& out) {
   tracker_.Add(msg);
   tracker_.ApplyEdges(out.edges);
   tracker_.NoteRules(out.fired_rules);
-  if (options_.digest.use_cross_router) {
+  if (options_.use_cross_router) {
     cross_edges_.clear();
     cross_.Feed(
         msg,
@@ -230,7 +232,7 @@ void ShardedPipeline::Push(std::span<const syslog::SyslogRecord> records) {
     const auto sid = static_cast<std::uint32_t>(router_key % shards_.size());
     threads_->lanes[sid]->pending.push_back({seq, router_key, known, rec});
     threads_->pending_order.push_back(sid);
-    if (threads_->pending_order.size() >= options_.batch_size) {
+    if (threads_->pending_order.size() >= kBatchSize) {
       FlushBatches();
     }
   }
@@ -381,6 +383,15 @@ core::DigestResult ShardedPipeline::Finish() {
               return a.start < b.start;
             });
   return result;
+}
+
+core::DigestResult Digest(core::KnowledgeBase* kb,
+                          const core::LocationDict* dict,
+                          std::span<const syslog::SyslogRecord> records,
+                          const PipelineOptions& options) {
+  ShardedPipeline pipeline(kb, dict, options);
+  pipeline.Push(records);
+  return pipeline.Finish();
 }
 
 }  // namespace sld::pipeline

@@ -26,8 +26,9 @@
 // Because the merge step consumes messages in exactly the ingest order
 // and every edge flows through one union-find, the event partition is
 // bit-identical at every shard count (tests/core/pipeline_threads_test.cc;
-// tests/engine/golden_test.cc pins the stream itself).  The batch
-// core::Digester is this pipeline with unbounded horizons.
+// tests/engine/golden_test.cc pins the stream itself).  The batch call
+// Digest() at the end of this header is this pipeline with unbounded
+// horizons, fed once.
 //
 // SaveState/LoadState only order the checkpoint sections and map
 // routers to shards; each stage reads and writes its own section
@@ -58,14 +59,14 @@ class Reader;
 namespace sld::pipeline {
 
 struct PipelineOptions {
-  core::DigestOptions digest;
+  // Which grouping passes run after the temporal one (Table 7 compares
+  // T, T+R and T+R+C).
+  bool use_rules = true;
+  bool use_cross_router = true;
   // 1 runs the stage graph inline on the caller's thread; N > 1 runs the
   // per-router stages on N shard workers (router_key % N) behind one
   // sequenced merge thread.
   std::size_t shards = 1;
-  // Records per queue batch at shards > 1: one mutex round-trip per
-  // batch, not per message, keeps the queues off the hot path.
-  std::size_t batch_size = 256;
   // Group lifecycle (see GroupTracker): the defaults make the pipeline a
   // batch digester — nothing closes before Finish().
   TimeMs idle_close_ms = GroupTracker::kUnboundedMs;
@@ -211,5 +212,14 @@ class ShardedPipeline {
   // Finish.
   std::unique_ptr<Threads> threads_;
 };
+
+// The batch digest: a closed, time-sorted stream through one pipeline
+// built with `options` (unbounded horizons by default, so nothing closes
+// before the final flush), returning every event sorted by score.  `kb`
+// must outlive the call and may gain catch-all templates.
+core::DigestResult Digest(core::KnowledgeBase* kb,
+                          const core::LocationDict* dict,
+                          std::span<const syslog::SyslogRecord> records,
+                          const PipelineOptions& options = {});
 
 }  // namespace sld::pipeline

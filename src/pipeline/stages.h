@@ -137,8 +137,10 @@ class RuleStage {
 // merge thread, after the shard edges for the message have been applied.
 class CrossRouterStage {
  public:
-  CrossRouterStage(const core::LocationDict* dict, TimeMs window_ms)
-      : dict_(dict), window_ms_(window_ms) {}
+  // "Almost the same time": §4.2.3's 1 second.
+  static constexpr TimeMs kWindowMs = 1 * kMsPerSecond;
+
+  explicit CrossRouterStage(const core::LocationDict* dict) : dict_(dict) {}
 
   // `same_group(a, b)` lets the stage skip the location scan for pairs the
   // tracker already holds together (an optimization, not a correctness
@@ -147,7 +149,7 @@ class CrossRouterStage {
   void Feed(const core::Augmented& msg, SameGroupFn&& same_group,
             std::vector<MergeEdge>* out) {
     while (!window_.empty() &&
-           msg.time - window_.front().time > window_ms_) {
+           msg.time - window_.front().time > kWindowMs) {
       window_.pop_front();
     }
     // A message without locations is Connected to nothing: it only joins
@@ -190,7 +192,6 @@ class CrossRouterStage {
   };
 
   const core::LocationDict* dict_;
-  TimeMs window_ms_;
   std::deque<Entry> window_;
 };
 

@@ -39,6 +39,7 @@
 #include "net/config_parser.h"
 #include "obs/registry.h"
 #include "sim/generator.h"
+#include "syslog/collector.h"
 #include "syslog/wire.h"
 
 namespace sld::engine {
@@ -605,6 +606,78 @@ TEST_P(CkptLogBeforeSink, SinkFindsItsEventAlreadyLogged) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, CkptLogBeforeSink,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}));
+
+// A snapshot taken before the first record restores into an engine that
+// then streams the live day exactly as a fresh engine does, in both
+// shapes such a snapshot has had: (a) stage flag 0 and no stage section,
+// as written while the engine built its stage at the first record, and
+// (b) the stage section of a stage that has seen nothing, as
+// Checkpoint() writes it now.
+class CkptBeforeFirstRecord : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(CkptBeforeFirstRecord, RestoredEngineStreamsLikeAFreshOne) {
+  const std::size_t shards = GetParam();
+  const EngineOptions opts = DurableOptions(shards);
+  World& w = SharedWorld();
+  TempDir golden_dir;
+  const auto golden = RunGolden(w, shards, golden_dir.str());
+  ASSERT_FALSE(golden.empty());
+
+  // (a) By hand: the tenant, no events, a fresh collector, flag 0.
+  TempDir lazy_dir;
+  {
+    const syslog::Collector collector(opts.hold_ms, opts.year,
+                                      opts.suppress_duplicates);
+    ckpt::Writer body;
+    body.Str(opts.tenant);
+    body.U64(0);
+    collector.SaveState(&body);
+    body.U8(0);
+    std::string error;
+    ASSERT_TRUE(ckpt::WriteSnapshotFile(lazy_dir.str() + "/snapshot",
+                                        body.data(), &error))
+        << error;
+  }
+  // (b) Checkpoint() before the first record.
+  TempDir eager_dir;
+  {
+    core::KnowledgeBase kb = CloneKb(w.kb);
+    Engine eng(&kb, &w.dict, opts);
+    std::string error;
+    ASSERT_TRUE(eng.OpenDurable(eager_dir.str(), &error)) << error;
+    ASSERT_TRUE(eng.Checkpoint(&error)) << error;
+    std::string body;
+    ASSERT_EQ(ckpt::ReadSnapshotFile(eager_dir.str() + "/snapshot", &body,
+                                     &error),
+              ckpt::SnapshotStatus::kOk)
+        << error;
+    ckpt::Reader r(body);
+    EXPECT_EQ(r.Str(), opts.tenant);
+    EXPECT_EQ(r.U64(), 0u);
+    syslog::Collector collector(opts.hold_ms, opts.year,
+                                opts.suppress_duplicates);
+    ASSERT_TRUE(collector.LoadState(&r));
+    EXPECT_EQ(r.U8(), 1) << "the stage section must follow";
+  }
+
+  for (const std::string& dir : {lazy_dir.str(), eager_dir.str()}) {
+    SCOPED_TRACE(dir);
+    core::KnowledgeBase kb = CloneKb(w.kb);
+    Engine eng(&kb, &w.dict, opts);
+    std::string error;
+    ASSERT_TRUE(eng.OpenDurable(dir, &error)) << error;
+    EXPECT_EQ(eng.replay_cursor(), 0u);
+    for (const auto& rec : w.live.messages) {
+      eng.IngestRecord(rec);
+      eng.Pump();
+    }
+    eng.Finish();
+    EXPECT_EQ(DumpLog(dir), golden);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, CkptBeforeFirstRecord,
                          ::testing::Values(std::size_t{1}, std::size_t{4}));
 
 // A checkpoint taken after a clean Finish restores to a drained engine:

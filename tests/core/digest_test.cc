@@ -6,6 +6,7 @@
 
 #include "common/strings.h"
 #include "net/config_parser.h"
+#include "pipeline/pipeline.h"
 
 namespace sld::core {
 namespace {
@@ -112,8 +113,8 @@ class ToyExampleTest : public ::testing::Test {
 };
 
 TEST_F(ToyExampleTest, SixteenMessagesBecomeOneEvent) {
-  Digester digester(&kb_, &dict_);
-  const DigestResult result = digester.Digest(TableTwoMessages());
+  const DigestResult result =
+      pipeline::Digest(&kb_, &dict_, TableTwoMessages());
   ASSERT_EQ(result.events.size(), 1u);
   const DigestEvent& ev = result.events[0];
   EXPECT_EQ(ev.messages.size(), 16u);
@@ -128,8 +129,8 @@ TEST_F(ToyExampleTest, SixteenMessagesBecomeOneEvent) {
 }
 
 TEST_F(ToyExampleTest, FormatMatchesPaperPresentation) {
-  Digester digester(&kb_, &dict_);
-  const DigestResult result = digester.Digest(TableTwoMessages());
+  const DigestResult result =
+      pipeline::Digest(&kb_, &dict_, TableTwoMessages());
   ASSERT_EQ(result.events.size(), 1u);
   EXPECT_EQ(result.events[0].Format(),
             "2010-01-10 00:00:00|2010-01-10 00:00:31|"
@@ -138,39 +139,44 @@ TEST_F(ToyExampleTest, FormatMatchesPaperPresentation) {
 }
 
 TEST_F(ToyExampleTest, WithoutCrossRouterTwoEvents) {
-  Digester digester(&kb_, &dict_);
-  DigestOptions opts;
+  pipeline::PipelineOptions opts;
   opts.use_cross_router = false;
-  const DigestResult result = digester.Digest(TableTwoMessages(), opts);
+  const DigestResult result =
+      pipeline::Digest(&kb_, &dict_, TableTwoMessages(), opts);
   EXPECT_EQ(result.events.size(), 2u);  // one per router
 }
 
 TEST_F(ToyExampleTest, WithoutRulesMoreEvents) {
-  Digester digester(&kb_, &dict_);
-  DigestOptions opts;
+  pipeline::PipelineOptions opts;
   opts.use_rules = false;
   opts.use_cross_router = false;
-  const DigestResult result = digester.Digest(TableTwoMessages(), opts);
+  const DigestResult result =
+      pipeline::Digest(&kb_, &dict_, TableTwoMessages(), opts);
   // Temporal only: per (template, router) = 4 x 2 = 8 groups.
   EXPECT_EQ(result.events.size(), 8u);
 }
 
 TEST_F(ToyExampleTest, StagesOnlyEverMerge) {
-  Digester digester(&kb_, &dict_);
   const auto msgs = TableTwoMessages();
-  DigestOptions t_only{false, false, 1000};
-  DigestOptions tr{true, false, 1000};
-  DigestOptions trc{true, true, 1000};
-  const std::size_t t_count = digester.Digest(msgs, t_only).events.size();
-  const std::size_t tr_count = digester.Digest(msgs, tr).events.size();
-  const std::size_t trc_count = digester.Digest(msgs, trc).events.size();
+  const pipeline::PipelineOptions t_only{.use_rules = false,
+                                         .use_cross_router = false};
+  const pipeline::PipelineOptions tr{.use_rules = true,
+                                     .use_cross_router = false};
+  const pipeline::PipelineOptions trc{.use_rules = true,
+                                      .use_cross_router = true};
+  const std::size_t t_count =
+      pipeline::Digest(&kb_, &dict_, msgs, t_only).events.size();
+  const std::size_t tr_count =
+      pipeline::Digest(&kb_, &dict_, msgs, tr).events.size();
+  const std::size_t trc_count =
+      pipeline::Digest(&kb_, &dict_, msgs, trc).events.size();
   EXPECT_GE(t_count, tr_count);
   EXPECT_GE(tr_count, trc_count);
 }
 
 TEST_F(ToyExampleTest, ActiveRulesCounted) {
-  Digester digester(&kb_, &dict_);
-  const DigestResult result = digester.Digest(TableTwoMessages());
+  const DigestResult result =
+      pipeline::Digest(&kb_, &dict_, TableTwoMessages());
   EXPECT_GE(result.active_rule_count, 2u);
   EXPECT_LE(result.active_rule_count, kb_.rules.size());
 }
@@ -183,14 +189,13 @@ TEST_F(ToyExampleTest, UnrelatedRouterNotMerged) {
                   "Interface Serial9/9, changed state to up"});
   std::sort(msgs.begin(), msgs.end(),
             [](const auto& a, const auto& b) { return a.time < b.time; });
-  Digester digester(&kb_, &dict_);
-  const DigestResult result = digester.Digest(msgs);
+  const DigestResult result = pipeline::Digest(&kb_, &dict_, msgs);
   EXPECT_EQ(result.events.size(), 2u);
 }
 
 TEST_F(ToyExampleTest, ScorePositiveAndOrdered) {
-  Digester digester(&kb_, &dict_);
-  const DigestResult result = digester.Digest(TableTwoMessages());
+  const DigestResult result =
+      pipeline::Digest(&kb_, &dict_, TableTwoMessages());
   for (const DigestEvent& ev : result.events) {
     EXPECT_GT(ev.score, 0.0);
   }
@@ -200,8 +205,7 @@ TEST_F(ToyExampleTest, ScorePositiveAndOrdered) {
 }
 
 TEST_F(ToyExampleTest, EmptyStreamYieldsNoEvents) {
-  Digester digester(&kb_, &dict_);
-  const DigestResult result = digester.Digest({});
+  const DigestResult result = pipeline::Digest(&kb_, &dict_, {});
   EXPECT_TRUE(result.events.empty());
   EXPECT_EQ(result.message_count, 0u);
   EXPECT_DOUBLE_EQ(result.CompressionRatio(), 0.0);
@@ -211,9 +215,8 @@ TEST_F(ToyExampleTest, RareSignatureOutranksFrequentOne) {
   // Two identical events except historical frequency: the rarer signature
   // must score higher (§4.2.4 "we care more about rare events").
   kb_.signature_freq.clear();
-  Digester digester(&kb_, &dict_);
   auto msgs = TableTwoMessages();
-  const DigestResult fresh = digester.Digest(msgs);
+  const DigestResult fresh = pipeline::Digest(&kb_, &dict_, msgs);
   ASSERT_EQ(fresh.events.size(), 1u);
   const double rare_score = fresh.events[0].score;
 
@@ -223,7 +226,7 @@ TEST_F(ToyExampleTest, RareSignatureOutranksFrequentOne) {
       kb_.signature_freq[KnowledgeBase::FreqKey(tmpl.id, router)] = 100000;
     }
   }
-  const DigestResult seasoned = digester.Digest(msgs);
+  const DigestResult seasoned = pipeline::Digest(&kb_, &dict_, msgs);
   ASSERT_EQ(seasoned.events.size(), 1u);
   EXPECT_GT(rare_score, seasoned.events[0].score);
 }

@@ -6,6 +6,7 @@
 
 #include "core/learn.h"
 #include "net/config_parser.h"
+#include "pipeline/pipeline.h"
 #include "sim/generator.h"
 
 namespace sld::core {
@@ -66,16 +67,19 @@ TEST_P(PipelineTest, TemplateAccuracyAtLeastNinetyPercent) {
 }
 
 TEST_P(PipelineTest, StagesCompoundCompression) {
-  Digester digester(&p_.kb, &p_.dict);
-  const DigestOptions t_only{false, false, 1000};
-  const DigestOptions tr{true, false, 1000};
-  const DigestOptions trc{true, true, 1000};
-  const std::size_t t = digester.Digest(p_.live.messages, t_only)
-                            .events.size();
-  const std::size_t t_r = digester.Digest(p_.live.messages, tr)
-                              .events.size();
-  const std::size_t t_r_c = digester.Digest(p_.live.messages, trc)
-                                .events.size();
+  const pipeline::PipelineOptions t_only{.use_rules = false,
+                                         .use_cross_router = false};
+  const pipeline::PipelineOptions tr{.use_rules = true,
+                                     .use_cross_router = false};
+  const pipeline::PipelineOptions trc{.use_rules = true,
+                                      .use_cross_router = true};
+  const std::size_t t =
+      pipeline::Digest(&p_.kb, &p_.dict, p_.live.messages, t_only)
+          .events.size();
+  const std::size_t t_r =
+      pipeline::Digest(&p_.kb, &p_.dict, p_.live.messages, tr).events.size();
+  const std::size_t t_r_c =
+      pipeline::Digest(&p_.kb, &p_.dict, p_.live.messages, trc).events.size();
   EXPECT_GT(t, t_r);
   EXPECT_GE(t_r, t_r_c);
   // The full pipeline must compress by well over an order of magnitude.
@@ -85,8 +89,8 @@ TEST_P(PipelineTest, StagesCompoundCompression) {
 }
 
 TEST_P(PipelineTest, EveryMessageLandsInExactlyOneEvent) {
-  Digester digester(&p_.kb, &p_.dict);
-  const DigestResult result = digester.Digest(p_.live.messages);
+  const DigestResult result =
+      pipeline::Digest(&p_.kb, &p_.dict, p_.live.messages);
   std::vector<bool> seen(p_.live.messages.size(), false);
   for (const DigestEvent& ev : result.events) {
     for (const std::size_t idx : ev.messages) {
@@ -99,8 +103,8 @@ TEST_P(PipelineTest, EveryMessageLandsInExactlyOneEvent) {
 }
 
 TEST_P(PipelineTest, EventTimeRangesCoverTheirMessages) {
-  Digester digester(&p_.kb, &p_.dict);
-  const DigestResult result = digester.Digest(p_.live.messages);
+  const DigestResult result =
+      pipeline::Digest(&p_.kb, &p_.dict, p_.live.messages);
   for (const DigestEvent& ev : result.events) {
     EXPECT_LE(ev.start, ev.end);
     for (const std::size_t idx : ev.messages) {
@@ -114,9 +118,8 @@ TEST_P(PipelineTest, EventTimeRangesCoverTheirMessages) {
 }
 
 TEST_P(PipelineTest, DigestIsDeterministic) {
-  Digester d1(&p_.kb, &p_.dict);
-  const DigestResult a = d1.Digest(p_.live.messages);
-  const DigestResult b = d1.Digest(p_.live.messages);
+  const DigestResult a = pipeline::Digest(&p_.kb, &p_.dict, p_.live.messages);
+  const DigestResult b = pipeline::Digest(&p_.kb, &p_.dict, p_.live.messages);
   ASSERT_EQ(a.events.size(), b.events.size());
   for (std::size_t i = 0; i < a.events.size(); ++i) {
     EXPECT_EQ(a.events[i].messages, b.events[i].messages);
@@ -125,8 +128,8 @@ TEST_P(PipelineTest, DigestIsDeterministic) {
 }
 
 TEST_P(PipelineTest, GroundTruthEventsRarelyFragment) {
-  Digester digester(&p_.kb, &p_.dict);
-  const DigestResult result = digester.Digest(p_.live.messages);
+  const DigestResult result =
+      pipeline::Digest(&p_.kb, &p_.dict, p_.live.messages);
   std::vector<int> event_of(p_.live.messages.size(), -1);
   for (std::size_t e = 0; e < result.events.size(); ++e) {
     for (const std::size_t m : result.events[e].messages) {
@@ -153,10 +156,9 @@ TEST_P(PipelineTest, GroundTruthEventsRarelyFragment) {
 TEST_P(PipelineTest, KnowledgeBaseSurvivesSerialization) {
   const std::string blob = p_.kb.Serialize();
   KnowledgeBase restored = KnowledgeBase::Deserialize(blob);
-  Digester original(&p_.kb, &p_.dict);
-  Digester reloaded(&restored, &p_.dict);
-  const DigestResult a = original.Digest(p_.live.messages);
-  const DigestResult b = reloaded.Digest(p_.live.messages);
+  const DigestResult a = pipeline::Digest(&p_.kb, &p_.dict, p_.live.messages);
+  const DigestResult b =
+      pipeline::Digest(&restored, &p_.dict, p_.live.messages);
   ASSERT_EQ(a.events.size(), b.events.size());
   for (std::size_t i = 0; i < a.events.size(); ++i) {
     EXPECT_EQ(a.events[i].messages, b.events[i].messages);
@@ -164,8 +166,8 @@ TEST_P(PipelineTest, KnowledgeBaseSurvivesSerialization) {
 }
 
 TEST_P(PipelineTest, ActiveRulesBoundedByRuleBase) {
-  Digester digester(&p_.kb, &p_.dict);
-  const DigestResult result = digester.Digest(p_.live.messages);
+  const DigestResult result =
+      pipeline::Digest(&p_.kb, &p_.dict, p_.live.messages);
   EXPECT_GT(p_.kb.rules.size(), 0u);
   EXPECT_LE(result.active_rule_count, p_.kb.rules.size());
   EXPECT_GT(result.active_rule_count, 0u);

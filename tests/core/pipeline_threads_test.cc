@@ -67,16 +67,12 @@ TEST(ThreadedPipelineTest, ShardedMatchesSingleThreadedDigest) {
   OfflineLearner learner;
   KnowledgeBase kb = learner.Learn(history.messages, dict);
 
-  Digester batch(&kb, &dict);
-  const DigestResult expected = batch.Digest(live.messages);
+  const DigestResult expected = pipeline::Digest(&kb, &dict, live.messages);
   ASSERT_GT(expected.events.size(), 0u);
 
   for (const std::size_t shards : {1u, 4u, 16u}) {
     pipeline::PipelineOptions opts;
     opts.shards = shards;
-    // Exercise the queue seams: many small batches instead of a few big
-    // ones.
-    opts.batch_size = 64;
     pipeline::ShardedPipeline p(&kb, &dict, opts);
     for (const auto& rec : live.messages) p.Push(rec);
     const DigestResult got = p.Finish();

@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "core/learn.h"
 #include "net/config_parser.h"
+#include "pipeline/pipeline.h"
 #include "sim/generator.h"
 #include "syslog/archive.h"
 #include "syslog/collector.h"
@@ -128,8 +129,7 @@ TEST(PropertyTest, DigesterTotalOnRandomGarbageStream) {
     t += rng.UniformInt(0, 10000);
     stream.push_back(RandomRecord(rng, t));
   }
-  core::Digester digester(&kb, &dict);
-  const core::DigestResult result = digester.Digest(stream);
+  const core::DigestResult result = pipeline::Digest(&kb, &dict, stream);
   std::size_t total = 0;
   for (const auto& ev : result.events) total += ev.messages.size();
   EXPECT_EQ(total, stream.size());

@@ -7,6 +7,7 @@
 
 #include "core/learn.h"
 #include "net/config_parser.h"
+#include "pipeline/pipeline.h"
 #include "sim/generator.h"
 
 namespace sld::core {
@@ -66,8 +67,7 @@ TEST_P(SeedSweepTest, PipelinePropertiesHold) {
 
   // ...and the digest compresses by well over an order of magnitude while
   // partitioning every message exactly once.
-  Digester digester(&kb, &dict);
-  const DigestResult result = digester.Digest(live.messages);
+  const DigestResult result = pipeline::Digest(&kb, &dict, live.messages);
   EXPECT_LT(result.CompressionRatio(), 0.06);
   std::size_t covered = 0;
   for (const DigestEvent& ev : result.events) covered += ev.messages.size();

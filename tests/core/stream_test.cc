@@ -98,8 +98,8 @@ std::set<std::vector<std::size_t>> Partition(
 
 TEST(StreamTest, MatchesBatchPartitionWithUnboundedHorizon) {
   Ctx& ctx = Shared();
-  Digester batch(&ctx.kb, &ctx.dict);
-  const DigestResult expected = batch.Digest(ctx.live.messages);
+  const DigestResult expected =
+      pipeline::Digest(&ctx.kb, &ctx.dict, ctx.live.messages);
 
   Stream stream(ctx, /*idle_close_ms=*/INT64_MAX / 4,
                 /*max_group_age_ms=*/INT64_MAX / 4);
@@ -117,8 +117,8 @@ TEST(StreamTest, DefaultHorizonMatchesBatchOnThisWorkload) {
   // S_max + W is enough look-back for these scenarios, so the default
   // horizon also reproduces the batch partition.
   Ctx& ctx = Shared();
-  Digester batch(&ctx.kb, &ctx.dict);
-  const DigestResult expected = batch.Digest(ctx.live.messages);
+  const DigestResult expected =
+      pipeline::Digest(&ctx.kb, &ctx.dict, ctx.live.messages);
 
   Stream stream(ctx, DefaultHorizon(ctx.kb),
                 /*max_group_age_ms=*/INT64_MAX / 4);

@@ -2,7 +2,7 @@
 // depend on any other driver.
 //
 // One fixed seeded dataset-A day is digested through the batch path
-// (Engine::Digest) and through the live path (IngestRecord / Pump /
+// (pipeline::Digest) and through the live path (IngestRecord / Pump /
 // Finish with a sink) at 1 and 4 shards.  The live path runs twice: at
 // the default horizon (S_max + W, where the engine's 24 h max age splits
 // one day-long train) and at a 600 s idle horizon with a 1 h max age.
@@ -38,6 +38,7 @@
 #include "loadgen/loadgen.h"
 #include "net/config_parser.h"
 #include "obs/registry.h"
+#include "pipeline/pipeline.h"
 #include "sim/generator.h"
 #include "syslog/wire.h"
 
@@ -119,7 +120,7 @@ struct Golden {
 constexpr TimeMs kIdleCloseMs = 600 * kMsPerSecond;
 constexpr TimeMs kMaxGroupAgeMs = kMsPerHour;
 
-// Digests `records` through Engine::Digest; the header names the leg
+// Digests `records` through pipeline::Digest; the header names the leg
 // and pins its message, active-rule and event counts.
 void RunBatch(std::size_t shards,
               std::span<const syslog::SyslogRecord> records,
@@ -127,10 +128,10 @@ void RunBatch(std::size_t shards,
               std::vector<std::string>* lines) {
   World& w = SharedWorld();
   core::KnowledgeBase kb = core::KnowledgeBase::Deserialize(w.kb_text);
-  EngineOptions opts;
+  pipeline::PipelineOptions opts;
   opts.shards = shards;
-  Engine eng(&kb, &w.dict, opts);
-  const core::DigestResult result = eng.Digest(records);
+  const core::DigestResult result =
+      pipeline::Digest(&kb, &w.dict, records, opts);
   *header = "# " + leg + " messages=" +
             std::to_string(result.message_count) + " active_rules=" +
             std::to_string(result.active_rule_count) +

@@ -246,12 +246,11 @@ TEST(ShardedPipelineTest, UnknownRoutersGetStableShards) {
 
 TEST(ShardedPipelineTest, MoreShardsThanRoutersStillExact) {
   Ctx& ctx = Shared();
-  core::Digester batch(&ctx.kb, &ctx.dict);
-  const core::DigestResult expected = batch.Digest(ctx.live.messages);
+  const core::DigestResult expected =
+      Digest(&ctx.kb, &ctx.dict, ctx.live.messages);
 
   PipelineOptions opts;
   opts.shards = 16;  // only 8 routers: half the shards stay idle
-  opts.batch_size = 32;
   ShardedPipeline p(&ctx.kb, &ctx.dict, opts);
   for (const auto& rec : ctx.live.messages) p.Push(rec);
   const core::DigestResult got = p.Finish();

@@ -223,10 +223,13 @@ TimeMs Gap(Rng& rng) {
 }
 
 // The other endpoint of an edge from message `seq`: mostly a recent
-// message, sometimes any earlier one, rarely one not yet seen.
+// message, sometimes any earlier one or itself, rarely one not yet seen.
+// Message 0 has no earlier message, so it never takes the recent draw.
 std::size_t Partner(Rng& rng, std::size_t seq) {
   const double r = rng.UniformReal();
-  if (r < 0.65) return seq - 1 - rng.Index(std::min<std::size_t>(seq, 8));
+  if (r < 0.65 && seq > 0) {
+    return seq - 1 - rng.Index(std::min<std::size_t>(seq, 8));
+  }
   if (r < 0.95) return rng.Index(seq + 1);
   return seq + 1 + rng.Index(5);
 }

@@ -15,15 +15,11 @@ Dispatches on the "benchmark" field of FRESH.json:
                 ratio asserted on any host, must reach
                 EXTRACT_MIN_SPEEDUP.
   throughput  - sharded-pipeline rate at threads=1 must not regress by
-                more than the noise margin; when the run carries an
-                "engine" block, the Engine-layer rate must stay within
-                the noise margin of driving the ShardedPipeline
-                directly (a same-process relative measure, asserted on
-                any host -- the refactored CLI path must cost nothing);
-                the "dense" leg's median rate must reach
-                DENSE_MIN_RATIO times the same run's threads=1 sweep
-                median (storm-sized rule windows must not cost more per
-                message than a few times the dataset-A day).
+                more than the noise margin; the "dense" leg's median
+                rate must reach DENSE_MIN_RATIO times the same run's
+                threads=1 sweep median (storm-sized rule windows must
+                not cost more per message than a few times the
+                dataset-A day).
   ablation    - the run is deterministic (fixed seeds, no timing), so
                 fresh must deep-equal the baseline: same structure,
                 integers and strings exact, floats within --float-tol
@@ -224,22 +220,6 @@ def gate_throughput(gate, fresh, baseline, args):
         if ratio < DENSE_MIN_RATIO:
             gate.fail(f"dense leg runs at {ratio:.3f}x the threads=1 sweep "
                       f"rate, below the {DENSE_MIN_RATIO}x floor")
-
-    # Engine-vs-driver: both rep lists come from the same fresh process
-    # with interleaved runs, so the comparison is immune to host speed
-    # and holds on single-core runners too.  "Baseline" here is the
-    # driver reps, not the committed file.
-    engine = fresh.get("engine")
-    if engine is None:
-        if baseline.get("engine") is not None:
-            gate.fail("baseline has an engine-vs-driver block but the "
-                      "fresh run does not; the Engine measurement was "
-                      "dropped")
-        return
-    threads = int(engine.get("threads", 0))
-    gate.check_rate(f"engine_msgs_per_sec[threads={threads}] vs driver",
-                    [float(v) for v in engine["reps"]],
-                    [float(v) for v in engine["driver_reps"]])
 
 
 def deep_compare(gate, path, fresh, baseline, float_tol):

@@ -28,8 +28,9 @@
 //       Dumps a durable event log (written by serve --checkpoint-dir) as
 //       "seq|event" lines.
 //
-// The digest/stream/serve commands are thin drivers over engine::Engine;
-// all collector -> digester wiring lives there.
+// The stream/serve commands are thin drivers over engine::Engine; all
+// collector -> digest stage wiring lives there.  digest has no collector:
+// it hands the whole archive to pipeline::Digest.
 #include <unistd.h>
 
 #include <algorithm>
@@ -51,6 +52,7 @@
 #include "engine/host.h"
 #include "flags.h"
 #include "obs/registry.h"
+#include "pipeline/pipeline.h"
 #include "sim/generator.h"
 #include "syslog/archive.h"
 #include "syslog/collector.h"
@@ -231,24 +233,32 @@ int CmdDigest(Flags& flags) {
   if (!flags.ok()) return 2;
   obs::Registry metrics;
   MetricsWriter metrics_out(flags, &metrics);
-  engine::EngineOptions opts;
+  pipeline::PipelineOptions opts;
   opts.shards =
       static_cast<std::size_t>(std::max(1L, flags.GetInt("shards", 1)));
   opts.metrics = metrics_out.enabled() ? &metrics : nullptr;
+  // The KB first, then the configs: Engine::Load's order and errors.
   std::string error;
-  const auto eng = engine::Engine::Load(configs, kb_path, opts, &error);
-  if (eng == nullptr) {
+  const auto kb = engine::LoadKnowledgeBase(kb_path, &error);
+  if (kb == nullptr) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
+  const auto parsed_configs = engine::LoadConfigDir(configs, &error);
+  if (!error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
+  }
+  const core::LocationDict dict = core::LocationDict::Build(parsed_configs);
   bool ok = true;
   const auto records =
       ReadRecordsCli(in_path, metrics_out.enabled() ? &metrics : nullptr, ok);
   if (!ok) return 1;
-  const core::DigestResult result = eng->Digest(records);
+  const core::DigestResult result =
+      pipeline::Digest(kb.get(), &dict, records, opts);
   const bool metrics_ok = metrics_out.Final();
   if (flags.Has("report")) {
-    std::fputs(core::RenderReport(result, eng->dict()).c_str(), stdout);
+    std::fputs(core::RenderReport(result, dict).c_str(), stdout);
   } else {
     const std::size_t top = static_cast<std::size_t>(
         flags.GetInt("top", static_cast<long>(result.events.size())));
